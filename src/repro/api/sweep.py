@@ -3,10 +3,10 @@
 The ROADMAP's config-driven job submission layer: a
 :class:`ScenarioSweep` expands a base :class:`~repro.api.spec.SolverSpec`
 over the product of instances x engines x objectives x seeds, and a
-:class:`SolverService` executes any batch of specs concurrently on a
-process pool (the same ``concurrent.futures`` machinery the master-slave
-executors ride), streaming structured :class:`SweepResult` records as
-runs finish.
+:class:`SolverService` executes any batch of specs concurrently on the
+supervised :class:`~repro.service.pool.WorkerPool` that also serves
+``repro serve`` (a worker that dies costs only the spec that killed it),
+streaming structured :class:`SweepResult` records as runs finish.
 
 Because specs and reports are plain data, the worker boundary is two
 JSON-safe dicts -- a spec in, a report out -- so the service doubles as
@@ -26,10 +26,9 @@ move JSON can move this workload.
 
 from __future__ import annotations
 
-import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import as_completed
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping
 
 from .registry import SpecError
 from .spec import SolverSpec
@@ -152,41 +151,6 @@ def _axis(data: Mapping[str, Any], name: str, coerce=None) -> tuple:
         raise SpecError(f"sweep: {name}: {exc}") from exc
 
 
-def _solve_payload(payload: tuple[int, dict]) -> SweepResult:
-    """Worker task: one spec dict in, one JSON-safe result out."""
-    from .facade import solve
-    index, spec_dict = payload
-    t0 = time.perf_counter()
-    try:
-        report = solve(spec_dict)
-        return SweepResult(index=index, spec=spec_dict, ok=True,
-                           report=report.to_dict(),
-                           elapsed=time.perf_counter() - t0)
-    except Exception as exc:  # noqa: BLE001 - a failed scenario must not
-        # take the sweep down; the failure is part of the result stream
-        return SweepResult(index=index, spec=spec_dict, ok=False,
-                           error=f"{type(exc).__name__}: {exc}",
-                           elapsed=time.perf_counter() - t0)
-
-
-def _solve_isolated(payload: tuple[int, dict]) -> SweepResult:
-    """Run one payload in its own single-worker pool (crash quarantine).
-
-    Used after a shared pool broke: re-running here either completes the
-    spec normally or, if this spec is what killed the worker, converts
-    the process death into a structured failed :class:`SweepResult`
-    (error type + message) without taking anyone else down.
-    """
-    index, spec = payload
-    try:
-        with ProcessPoolExecutor(max_workers=1) as pool:
-            return pool.submit(_solve_payload, payload).result()
-    except Exception as exc:  # noqa: BLE001 - the quarantined process died
-        return SweepResult(index=index, spec=spec, ok=False,
-                           error=f"{type(exc).__name__}: worker process "
-                                 f"died ({exc or 'no diagnostic'})")
-
-
 class SolverService:
     """Concurrent executor for batches of solver specs.
 
@@ -215,55 +179,26 @@ class SolverService:
         Failures are streamed as ``ok=False`` results, never raised --
         one bad scenario must not abort the remaining ones.
         """
-        payloads = []
-        for i, spec in enumerate(specs):
-            if isinstance(spec, SolverSpec):
-                spec = spec.to_dict()
-            else:
-                spec = dict(spec)
-            payloads.append((i, spec))
+        from ..service.pool import WorkerPool, run_job
+        payloads = [(i, spec.to_dict() if isinstance(spec, SolverSpec)
+                     else dict(spec)) for i, spec in enumerate(specs)]
         if not payloads:
             return
         if self.n_workers <= 1:
-            for payload in payloads:
-                yield _solve_payload(payload)
+            for index, spec in payloads:
+                yield SweepResult(index=index, spec=spec,
+                                  **run_job(str(index), spec))
             return
-        yield from self._run_pool(payloads)
-
-    def _run_pool(self, payloads: Sequence[tuple[int, dict]]
-                  ) -> Iterator[SweepResult]:
-        with ProcessPoolExecutor(max_workers=self.n_workers) as pool:
-            futures = {pool.submit(_solve_payload, p): p
-                       for p in payloads}
-            if self.ordered:
-                for fut, payload in futures.items():
-                    yield self._outcome(fut, payload)
-            else:
-                pending = set(futures)
-                while pending:
-                    done, pending = wait(pending,
-                                         return_when=FIRST_COMPLETED)
-                    for fut in done:
-                        yield self._outcome(fut, futures[fut])
-
-    @staticmethod
-    def _outcome(fut, payload: tuple[int, dict]) -> SweepResult:
-        """Result of one pooled future, surviving worker-process death.
-
-        ``_solve_payload`` converts ordinary solver exceptions into
-        ``ok=False`` results, so ``fut.result()`` only raises when the
-        worker *process* died (``BrokenProcessPool`` -- a segfault or
-        ``os._exit`` in native code) or the payload could not cross the
-        process boundary.  A dead worker poisons every future sharing the
-        pool, so each affected payload gets one retry in a fresh isolated
-        pool: the genuinely poisoned spec comes back as a structured
-        failure, the innocent bystanders complete normally, and the sweep
-        never loses results mid-iteration.
-        """
+        pool = WorkerPool(workers=self.n_workers, queue_depth=len(payloads))
         try:
-            return fut.result()
-        except Exception:  # noqa: BLE001 - pool breakage, not solver errors
-            return _solve_isolated(payload)
+            futures = {pool.submit(str(index), spec): (index, spec)
+                       for index, spec in payloads}
+            done = futures if self.ordered else as_completed(futures)
+            for fut in done:
+                index, spec = futures[fut]
+                yield SweepResult(index=index, spec=spec, **fut.result())
+        finally:
+            pool.shutdown()
 
     def run_sweep(self, sweep: ScenarioSweep) -> Iterator[SweepResult]:
         """Expand and execute a :class:`ScenarioSweep`."""

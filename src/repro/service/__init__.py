@@ -10,9 +10,9 @@ solver pool, ``json`` on the wire.
   done/failed/cancelled), idempotent job keys
   (:meth:`repro.api.SolverSpec.cache_key`), and the LRU result cache that
   serves repeat traffic without re-solving.
-* :mod:`repro.service.pool` -- the bounded process worker pool with an
-  explicit queue-depth limit (backpressure surfaces as HTTP 429) and the
-  progress-event bridge from worker processes.
+* :mod:`repro.service.pool` -- the supervised process pool (shared with
+  sweeps): a queue-depth limit (HTTP 429), one ordered progress channel
+  per job, and recovery from dead workers.
 * :mod:`repro.service.sessions` -- event-driven dynamic sessions over
   :class:`~repro.extensions.dynamic.PredictiveReactiveScheduler`.
 * :mod:`repro.service.server` -- the asyncio endpoints (``/solve``,

@@ -146,7 +146,7 @@ class JobStore:
             job.progress.append(event)
 
     def finish(self, job_id: str, outcome: dict[str, Any]) -> None:
-        """Apply a worker outcome (the dict ``pool._run_job`` returns)."""
+        """Apply a worker outcome (the dict ``pool.solve_outcome`` returns)."""
         job = self._jobs.get(job_id)
         if job is None or job.terminal:
             return

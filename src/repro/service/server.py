@@ -46,6 +46,7 @@ session GA solves run on the loop's executor under a per-session lock.
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import math
 import threading
@@ -57,7 +58,7 @@ from ..api.registry import SpecError
 from ..api.spec import SolverSpec
 from ..api.sweep import ScenarioSweep
 from .jobs import Job, JobStore, job_id_for
-from .pool import PoolSaturated, WorkerPool
+from .pool import PoolSaturated, WorkerPool, solve_outcome
 from .sessions import SessionStore
 
 __all__ = ["SolverServer", "serve_in_thread", "ServerHandle"]
@@ -86,7 +87,6 @@ class SolverServer:
         self._workers = workers
         self._queue_depth = queue_depth
         self.pool: WorkerPool | None = None
-        self._futures: dict[str, Any] = {}
         self._session_locks: dict[str, asyncio.Lock] = {}
         self._job_changed: dict[str, asyncio.Event] = {}
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -99,7 +99,9 @@ class SolverServer:
         self._loop = asyncio.get_running_loop()
         self.pool = WorkerPool(workers=self._workers,
                                queue_depth=self._queue_depth,
-                               on_event=self._on_worker_event)
+                               on_event=functools.partial(
+                                   self._call_on_loop,
+                                   self._apply_worker_event))
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
@@ -126,10 +128,10 @@ class SolverServer:
             event.set()
 
     # -- worker bridge (foreign threads -> event loop) ---------------------------
-    def _on_worker_event(self, event: dict[str, Any]) -> None:
+    def _call_on_loop(self, callback, *args) -> None:
         loop = self._loop
         if loop is not None and not loop.is_closed():
-            loop.call_soon_threadsafe(self._apply_worker_event, event)
+            loop.call_soon_threadsafe(callback, *args)
 
     def _apply_worker_event(self, event: dict[str, Any]) -> None:
         job_id = event.get("job_id")
@@ -140,22 +142,13 @@ class SolverServer:
         self._notify_job(job_id)
 
     def _on_job_done(self, job_id: str, future) -> None:
-        """Completion callback (pool thread) -> loop-confined finish."""
-        try:
-            outcome = future.result()
-        except asyncio.CancelledError:
-            return
-        except Exception as exc:  # noqa: BLE001 - worker process death
-            outcome = {"ok": False,
-                       "error": f"{type(exc).__name__}: worker process "
-                                f"died ({exc or 'no diagnostic'})"}
-        loop = self._loop
-        if loop is not None and not loop.is_closed():
-            loop.call_soon_threadsafe(self._finish_job, job_id, outcome)
+        """Completion callback (drain thread, after the job's last progress
+        event) -> loop-confined finish, queued behind every frame."""
+        if not future.cancelled():
+            self._call_on_loop(self._finish_job, job_id, future.result())
 
     def _finish_job(self, job_id: str, outcome: dict[str, Any]) -> None:
         self.jobs.finish(job_id, outcome)
-        self._futures.pop(job_id, None)
         self._notify_job(job_id)
 
     def _notify_job(self, job_id: str) -> None:
@@ -197,9 +190,7 @@ class SolverServer:
                 429, f"{exc}; retry later",
                 headers=(("Retry-After", str(self._retry_after())),)
             ) from exc
-        self._futures[job.id] = future
-        future.add_done_callback(
-            lambda fut, job_id=job.id: self._on_job_done(job_id, fut))
+        future.add_done_callback(functools.partial(self._on_job_done, job.id))
         return job, True
 
     @staticmethod
@@ -213,17 +204,9 @@ class SolverServer:
 
     def _run_inline(self, job: Job) -> None:
         """Solve a fast-tier job on the serving thread, worker-outcome shaped."""
-        from ..api.facade import solve
         self.jobs.mark_running(job.id)
-        t0 = time.perf_counter()
-        try:
-            report = solve(job.spec, validate=False)
-            outcome = {"ok": True, "report": report.to_dict(),
-                       "elapsed": time.perf_counter() - t0}
-        except Exception as exc:  # noqa: BLE001 - becomes the job's failure
-            outcome = {"ok": False, "error": f"{type(exc).__name__}: {exc}",
-                       "elapsed": time.perf_counter() - t0}
-        self.jobs.finish(job.id, outcome)
+        # _submit_spec already validated the spec
+        self.jobs.finish(job.id, solve_outcome(job.spec, validate=False))
         self._notify_job(job.id)
 
     # -- routes ------------------------------------------------------------------
@@ -234,6 +217,7 @@ class SolverServer:
             return _respond(writer, 200, {
                 "status": "ok", "workers": self.pool.workers,
                 "queue_depth": self.pool.queue_depth,
+                "restarts": self.pool.restarts,
                 "uptime": time.time() - self.started})
         if method == "GET" and parts == ["metrics"]:
             return _respond(writer, 200, self._metrics())
@@ -301,9 +285,7 @@ class SolverServer:
             if job.terminal:
                 return _respond(writer, 200, {"job_id": job.id,
                                               "state": job.state})
-            future = self._futures.get(job.id)
-            if future is not None and future.cancel():
-                self._futures.pop(job.id, None)
+            if self.pool.cancel(job.id):
                 self.jobs.cancel(job.id)
                 self._notify_job(job.id)
                 return _respond(writer, 200, {"job_id": job.id,
@@ -405,7 +387,8 @@ class SolverServer:
                       "queue_depth_limit": pool.queue_depth,
                       "capacity": pool.capacity,
                       "pending": pool.pending,
-                      "waiting": pool.waiting},
+                      "waiting": pool.waiting,
+                      "restarts": pool.restarts},
             "sessions": self.sessions.metrics(),
             "uptime": time.time() - self.started,
         }

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from repro.api import ScenarioSweep, SolverService, SolverSpec, SpecError
-from repro.api.sweep import _solve_payload as _real_solve_payload
+from repro.service.pool import run_job as _real_run_job
 from repro.cli import main
 
 BASE = SolverSpec(instance="ft06", ga={"population_size": 10},
@@ -21,13 +21,12 @@ BASE = SolverSpec(instance="ft06", ga={"population_size": 10},
 POISON_SEED = 666
 
 
-def _lethal_solve_payload(payload):
+def _lethal_run_job(job_id, spec, *args):
     # module-level so the pooled future can pickle it by reference; the
     # forked worker inherits this module and resolves the same function
-    _index, spec = payload
     if spec.get("seed") == POISON_SEED:
         os._exit(13)
-    return _real_solve_payload(payload)
+    return _real_run_job(job_id, spec, *args)
 
 
 class TestScenarioSweep:
@@ -136,9 +135,8 @@ class TestSolverService:
         future sharing the pool; the service must retry the bystanders in
         isolation and report the killer as a failed result -- the sweep
         never dies and never loses results."""
-        from repro.api import sweep as sweep_mod
-        monkeypatch.setattr(sweep_mod, "_solve_payload",
-                            _lethal_solve_payload)
+        from repro.service import pool as pool_mod
+        monkeypatch.setattr(pool_mod, "run_job", _lethal_run_job)
         specs = [BASE.replace(seed=1), BASE.replace(seed=POISON_SEED),
                  BASE.replace(seed=2)]
         results = list(SolverService(n_workers=2).run(specs))

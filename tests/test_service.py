@@ -6,7 +6,11 @@ wire a remote client would use.  Unit tests for the JobStore and event
 parsing ride along at the bottom.
 """
 
+import functools
 import json
+import multiprocessing
+import os
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -24,7 +28,9 @@ from repro.extensions.dynamic import (JobArrival, MachineBreakdown,
 from repro.instances import get_instance
 from repro.service import SolverServer, serve_in_thread
 from repro.service.jobs import JobStore, job_id_for
-from repro.service.pool import PoolSaturated, WorkerPool, _init_worker
+from repro.service import pool as pool_mod
+from repro.service.pool import (PoolSaturated, WorkerPool, _init_worker,
+                                run_job as _real_run_job)
 from repro.service.sessions import event_from_dict
 from repro.api.registry import SpecError
 
@@ -36,6 +42,19 @@ FAST = SolverSpec(instance="ft06", ga={"population_size": 10},
 SLOW = SolverSpec(instance="ft06", ga={"population_size": 8},
                   termination={"time_limit": 1.5}, eval_cost=0.05,
                   seed=91)
+
+#: a spec carrying this seed hard-kills its worker process (os._exit
+#: skips all exception handling, modelling a segfault or the OOM killer)
+POISON_SEED = 666
+
+
+def _lethal_run_job(job_id, spec, *args):
+    # module-level so the pooled future can pickle it by reference; the
+    # forked worker inherits this module and resolves the same function
+    if spec.get("seed") == POISON_SEED:
+        time.sleep(0.3)  # long enough for a bystander to queue behind it
+        os._exit(13)
+    return _real_run_job(job_id, spec, *args)
 
 
 # -- wire helpers -----------------------------------------------------------------
@@ -259,13 +278,15 @@ class TestBackpressure:
         assert status == 429
         assert "saturated" in body["error"]
         assert int(headers["Retry-After"]) >= 1
-        # a saturated sweep is refused whole, nothing half-admitted
+        # a saturated sweep is refused whole: it creates no job at all
+        # (jobs may still move between states meanwhile)
         _, _, before = req(tiny, "GET", "/metrics")
         sweep = {"base": FAST.to_dict(), "seeds": [801, 802]}
         status, headers, body = req(tiny, "POST", "/sweep", sweep)
         assert status == 429 and "Retry-After" in headers
         _, _, after = req(tiny, "GET", "/metrics")
-        assert after["jobs"] == before["jobs"]
+        assert sum(after["jobs"].values()) == sum(before["jobs"].values())
+        assert after["cache"]["misses"] == before["cache"]["misses"]
         # ...but a duplicate of an in-flight job coalesces, no slot needed
         status, _, body = req(tiny, "POST", "/solve", SLOW.to_dict())
         assert status == 202
@@ -290,6 +311,46 @@ class TestBackpressure:
         # deleting an already-terminal job reports its state, idempotently
         status, _, body = req(tiny, "DELETE", f"/jobs/{slow['job_id']}")
         assert status == 200 and body["state"] == "done"
+
+
+# -- crash recovery ---------------------------------------------------------------
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="worker poisoning relies on fork inheriting the patched "
+           "module state")
+def test_dead_worker_is_replaced_and_reported(monkeypatch):
+    """A spec that kills the only worker fails alone: the job queued
+    behind it completes, the pool is rebuilt once, and the server keeps
+    serving and reports the restart."""
+    monkeypatch.setattr(pool_mod, "run_job", _lethal_run_job)
+    handle = serve_in_thread(workers=1, queue_depth=4)
+    try:
+        base = handle.base_url
+        bystander = FAST.replace(seed=31)
+        status, _, killer = req(base, "POST", "/solve",
+                                FAST.replace(seed=POISON_SEED).to_dict())
+        assert status == 202
+        _, _, queued = req(base, "POST", "/solve", bystander.to_dict())
+        failed = wait_terminal(base, killer["job_id"])
+        assert failed["state"] == "failed"
+        assert "worker process died" in failed["error"]
+        done = wait_terminal(base, queued["job_id"])
+        assert done["state"] == "done"
+        local = solve(bystander)
+        assert done["result"]["best_objective"] == local.best_objective
+        assert done["result"]["best_genome"] == \
+            local.to_dict()["best_genome"]
+        status, _, after = req(base, "POST", "/solve",
+                               FAST.replace(seed=32).to_dict())
+        assert status == 202
+        assert wait_terminal(base, after["job_id"])["state"] == "done"
+        _, _, health = req(base, "GET", "/healthz")
+        assert health["status"] == "ok" and health["restarts"] == 1
+        _, _, metrics = req(base, "GET", "/metrics")
+        assert metrics["queue"]["restarts"] == 1
+    finally:
+        handle.stop()
 
 
 # -- dynamic sessions -------------------------------------------------------------
@@ -460,6 +521,55 @@ class TestWorkerPoolAdmission:
             WorkerPool(workers=0)
         with pytest.raises(ValueError, match="queue_depth"):
             WorkerPool(queue_depth=-1)
+
+
+class TestWorkerPoolChannel:
+    def test_slow_consumer_sees_every_frame_before_the_outcome(self):
+        """The running event and every generation frame of a job reach
+        ``on_event`` before its future resolves, even when the consumer is
+        slower than the workers, so the store drops no frame."""
+        store, lock = JobStore(), threading.Lock()
+        seen, at_finish, late = {}, {}, []
+
+        def on_event(event):
+            time.sleep(0.02)
+            with lock:
+                job = store.get(event["job_id"])
+                seen.setdefault(job.id, []).append(event["event"])
+                if job.terminal:  # the drain swallows exceptions
+                    late.append(event)
+                if event["event"] == "running":
+                    store.mark_running(job.id)
+                else:
+                    store.record_progress(job.id, event)
+
+        def on_done(job_id, future):
+            with lock:
+                at_finish[job_id] = list(seen.get(job_id, ()))
+                store.finish(job_id, future.result())
+
+        pool = WorkerPool(workers=2, queue_depth=10, on_event=on_event)
+        futures = []
+        try:
+            for i in range(10):
+                spec = FAST.replace(seed=200 + i,
+                                    termination={"max_generations": 4})
+                with lock:
+                    job, _ = store.submit(spec.to_dict(), spec.cache_key())
+                future = pool.submit(job.id, job.spec)
+                future.add_done_callback(functools.partial(on_done, job.id))
+                futures.append((job.id, future))
+            for _, future in futures:
+                future.result(timeout=60)
+        finally:
+            pool.shutdown()
+        for job_id, _ in futures:
+            assert at_finish[job_id] == ["running"] + ["generation"] * 5
+            assert seen[job_id] == at_finish[job_id]
+            job = store.get(job_id)
+            assert job.state == "done"
+            assert [f["generation"] for f in job.progress] == list(range(5))
+        assert late == []
 
 
 # -- unit: per-worker instance cache ----------------------------------------------
