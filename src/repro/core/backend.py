@@ -146,7 +146,6 @@ EXTENSION_NAMES = frozenset({
 #: substrate's stable-buffer contract needs.
 COMPAT_NAMES = frozenset({
     "concatenate", "cumsum", "copyto", "ascontiguousarray", "errstate",
-    "unique", "sort_complex",  # unique(axis=) has no Array-API twin yet
 })
 
 _ALLOWED_NAMES = ARRAY_API_NAMES | EXTENSION_NAMES | COMPAT_NAMES

@@ -41,16 +41,15 @@ def hamming_distance(a: Individual, b: Individual) -> int:
 class PopulationStats:
     """Immutable snapshot of a population's objective distribution."""
 
-    __slots__ = ("size", "best", "worst", "mean", "std", "unique_fraction")
+    __slots__ = ("size", "best", "worst", "mean", "std")
 
     def __init__(self, size: int, best: float, worst: float, mean: float,
-                 std: float, unique_fraction: float):
+                 std: float):
         self.size = size
         self.best = best
         self.worst = worst
         self.mean = mean
         self.std = std
-        self.unique_fraction = unique_fraction
 
     def as_dict(self) -> dict:
         return {
@@ -59,7 +58,6 @@ class PopulationStats:
             "worst": self.worst,
             "mean": self.mean,
             "std": self.std,
-            "unique_fraction": self.unique_fraction,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -174,15 +172,23 @@ class Population:
         obj = self.objectives()
         if len(obj) == 0 or np.isnan(obj).any():
             raise ValueError("stats() requires a fully evaluated population")
-        unique = len({i.genome_key() for i in self._members})
         return PopulationStats(
             size=len(obj),
             best=float(obj.min()),
             worst=float(obj.max()),
             mean=float(obj.mean()),
             std=float(obj.std()),
-            unique_fraction=unique / len(obj),
         )
+
+    def unique_fraction(self) -> float:
+        """Share of distinct genomes (1.0 = no duplicates).
+
+        A diagnostic computed on request: the generation loop and its
+        observers never read it.
+        """
+        if not self._members:
+            raise ValueError("unique_fraction() of an empty population")
+        return len({i.genome_key() for i in self._members}) / len(self)
 
     def mean_pairwise_hamming(self, rng: np.random.Generator | None = None,
                               sample: int = 64) -> float:

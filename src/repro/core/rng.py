@@ -24,6 +24,7 @@ __all__ = [
     "spawn_seeds",
     "derive_rng",
     "random_permutation",
+    "cell_draws",
     "RngStream",
 ]
 
@@ -72,6 +73,65 @@ def derive_rng(rng: np.random.Generator, *, jumps: int = 1) -> np.random.Generat
 def random_permutation(rng: np.random.Generator, n: int) -> np.ndarray:
     """A random permutation of ``range(n)`` as an int64 array."""
     return rng.permutation(n).astype(np.int64)
+
+
+def cell_draws(rng: np.random.Generator, n: int,
+               k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The draws of ``n`` cells in a row, each a mate pair and two gates.
+
+    Returns ``(mates, cross_u, mut_u)`` -- an ``(n, 2)`` int64 matrix and
+    two ``(n,)`` float64 vectors -- equal to ``n`` iterations of::
+
+        mates[i] = rng.integers(0, k, size=2)
+        cross_u[i] = rng.random()
+        mut_u[i] = rng.random()
+
+    and leaves ``rng`` in the state that loop leaves it in.  On a ``PCG64``
+    generator the ``3 * n`` 64-bit outputs come as one ``random_raw``
+    block and NumPy's arithmetic is rebuilt on them: a mate index is a
+    Lemire draw ``(u * k) >> 32`` on a 32-bit half, a gate is
+    ``(raw >> 11) * 2**-53``.  ``PCG64`` serves 32-bit draws in halves
+    of one output (low half first, high half cached), so with the cache
+    empty on entry cell ``i`` pairs the two halves of its first output;
+    with a cached half on entry it pairs the cache (or the previous
+    cell's high half) with its own low half.  Either way the last high
+    half is what the loop leaves in the cache.  Any Lemire leftover
+    below ``k`` (a possible rejection, which would draw again), any
+    other bit generator and any ``k`` outside the 32-bit Lemire path
+    replay the loop itself from the saved state.
+    """
+    bitgen = rng.bit_generator
+    if type(bitgen) is not np.random.PCG64 or not 1 < k < 2**32 or n < 1:
+        return _cell_draws_loop(rng, n, k)
+    saved = bitgen.state
+    raw = bitgen.random_raw(3 * n).reshape(n, 3)
+    first = raw[:, 0]
+    low, high = first & np.uint64(0xFFFFFFFF), first >> np.uint64(32)
+    if saved["has_uint32"]:
+        cached = np.uint64(saved["uinteger"])
+        pairs = np.stack([np.concatenate([[cached], high[:-1]]), low], axis=1)
+    else:
+        pairs = np.stack([low, high], axis=1)
+    scaled = pairs * np.uint64(k)
+    if ((scaled & np.uint64(0xFFFFFFFF)) < k).any():
+        bitgen.state = saved
+        return _cell_draws_loop(rng, n, k)
+    state = bitgen.state
+    state["uinteger"] = int(high[-1])
+    bitgen.state = state
+    gates = (raw[:, 1:] >> np.uint64(11)) * 2.0**-53
+    return (scaled >> np.uint64(32)).astype(np.int64), gates[:, 0], gates[:, 1]
+
+
+def _cell_draws_loop(rng: np.random.Generator, n: int,
+                     k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    mates = np.empty((n, 2), dtype=np.int64)
+    gates = np.empty((n, 2))
+    for i in range(n):
+        mates[i] = rng.integers(0, k, size=2)
+        gates[i, 0] = rng.random()
+        gates[i, 1] = rng.random()
+    return mates, gates[:, 0], gates[:, 1]
 
 
 class RngStream:

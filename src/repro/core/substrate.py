@@ -290,14 +290,12 @@ class ArrayPopulationView(Population):
         obj = self._state.objectives
         if obj.size == 0 or np.isnan(obj).any():
             raise ValueError("stats() requires a fully evaluated population")
-        unique = _xp().unique(self._state.matrix, axis=0).shape[0]
         return PopulationStats(
             size=int(obj.size),
             best=float(obj.min()),
             worst=float(obj.max()),
             mean=float(obj.mean()),
             std=float(obj.std()),
-            unique_fraction=unique / obj.size,
         )
 
     def _read_only(self, *_args, **_kwargs):

@@ -38,9 +38,10 @@ reuse the :mod:`repro.operators.batch` kernels on the gated row subsets,
 and evaluation goes through the problem's vectorised batch decoder.
 This is the cell-per-thread layout of Luo & El Baz's GPU papers
 (arXiv:1903.10722, 1903.10741) expressed as NumPy tensors.  Per-cell RNG
-draws (mate pair + the two rate gates) keep the exact object-path call
-order, so grid generations are bit-equal to object generations at the
-rate extremes under a shared seed -- the PR-4 conformance contract.
+draws (mate pair + the two rate gates) come from one raw block that
+reproduces the object-path call order exactly, so grid generations are
+bit-equal to object generations at the rate extremes under a shared seed
+-- the object/grid conformance contract.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from ..core.ga import GAConfig, GAResult
 from ..core.individual import Individual
 from ..core.observers import HistoryRecorder, Observer
 from ..core.population import Population
-from ..core.rng import make_rng
+from ..core.rng import cell_draws, make_rng
 from ..core.substrate import (ArrayPopulationView, GridState,
                               check_array_support, random_matrix)
 from ..core.termination import MaxGenerations, Termination, TerminationState
@@ -271,10 +272,12 @@ class CellularGA:
     def _step_grid(self) -> None:
         """One synchronous generation as tensor kernels (lines 4-7 batched).
 
-        Stage order, rate arithmetic and per-cell RNG calls (mate pair,
+        Stage order, rate arithmetic and per-cell RNG draws (mate pair,
         crossover gate, mutation gate -- in exactly the object path's
-        row-major order) are identical to :meth:`_breed_cell`; only the
-        per-cell *work* is batched: neighbourhood selection is one gather
+        row-major order, rebuilt from one raw block by
+        :func:`~repro.core.rng.cell_draws`) are identical to
+        :meth:`_breed_cell`; the per-cell work is batched too:
+        neighbourhood selection is one gather
         through the offset table, crossover/mutation run on the gated row
         subsets via the :mod:`repro.operators.batch` kernels, evaluation
         decodes all candidates as one matrix, and replacement is one
@@ -287,20 +290,11 @@ class CellularGA:
         table = self._neighbor_table
         n, n_nbr = table.shape
         rng = self.rng
-        integers, random = rng.integers, rng.random
-        cross_rate, mut_rate = cfg.crossover_rate, cfg.mutation_rate
-        # the object path's interleaved per-cell draw order (mate pair,
-        # crossover gate, mutation gate) forces a cell-by-cell pass here;
-        # everything downstream of the draws is batched
-        mate_rows, cross_draws, mut_draws = [], [], []
-        for _ in range(n):
-            mate_rows.append(integers(0, n_nbr, size=2))
-            cross_draws.append(random())
-            mut_draws.append(random())
+        mate_rows, cross_draws, mut_draws = cell_draws(rng, n, n_nbr)
         xp = _xp()
         mates = xp.asarray(mate_rows, dtype=xp.int64)
-        cross_gate = xp.asarray(cross_draws) < cross_rate
-        mut_gate = xp.asarray(mut_draws) < mut_rate
+        cross_gate = xp.asarray(cross_draws) < cfg.crossover_rate
+        mut_gate = xp.asarray(mut_draws) < cfg.mutation_rate
         cand = xp.take_along_axis(table, mates, axis=1)
         a, b = cand[:, 0], cand[:, 1]
         mate_idx = xp.where(objectives[a] <= objectives[b], a, b)

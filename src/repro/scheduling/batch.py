@@ -93,7 +93,11 @@ def operation_stages(instance: JobShopInstance,
     if seqs.shape[1] != n * g:
         raise ValueError(
             f"sequences must have n_jobs * n_stages = {n * g} columns")
-    order = xp.stable_argsort(seqs, axis=1)
+    # a stable sort's permutation depends only on the key order, and
+    # NumPy radix-sorts keys of 16 bits or fewer, so narrow them when
+    # every job index fits
+    keys = xp.asarray(seqs, dtype=xp.int16) if n < 2**15 else seqs
+    order = xp.stable_argsort(keys, axis=1)
     if validate:
         sorted_jobs = xp.take_along_axis(seqs, order, axis=1)
         expected = xp.repeat(xp.arange(n, dtype=xp.int64), g)

@@ -7,12 +7,15 @@ discovery, ``SimpleGA`` batch preference, executor matrix shipping, and
 the array-in/array-out fitness path.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import GAConfig, MaxGenerations, Problem, SimpleGA
+from repro.core.backend import active_namespace
 from repro.core.fitness import (RankFitness, ReciprocalFitness,
                                 apply_fitness, apply_fitness_array)
 from repro.core.individual import Individual
@@ -85,6 +88,54 @@ def test_operation_stages_counts_occurrences():
     stages = operation_stages(instance, seqs)
     assert stages.tolist() == [[0, 0, 1, 0, 1, 1],
                                [0, 1, 0, 1, 0, 1]]
+
+
+def wide_key_stages(seqs, n_stages):
+    """Stage indices from a stable argsort of the int64 genes."""
+    order = np.argsort(seqs.astype(np.int64), axis=1, kind="stable")
+    stages = np.empty(seqs.shape, dtype=np.int64)
+    within = np.broadcast_to(np.arange(seqs.shape[1]) % n_stages, seqs.shape)
+    np.put_along_axis(stages, order, within, axis=1)
+    return stages
+
+
+@pytest.fixture
+def argsort_key_dtypes(monkeypatch):
+    """Record the key dtype of every stable argsort the kernels run."""
+    xp = active_namespace()
+    argsort = xp.stable_argsort
+    dtypes = []
+
+    def spy(x, axis=-1):
+        dtypes.append(x.dtype)
+        return argsort(x, axis=axis)
+
+    monkeypatch.setattr(xp, "stable_argsort", spy)
+    return dtypes
+
+
+@pytest.mark.parametrize("n_jobs,n_stages", [(1, 1), (3, 2), (10, 10),
+                                             (20, 5), (50, 3)])
+def test_operation_stages_narrow_keys_match_wide_keys(argsort_key_dtypes,
+                                                      n_jobs, n_stages):
+    instance = job_shop(n_jobs, n_stages, seed=n_jobs)
+    seqs = random_op_sequences(instance, 25, make_rng(n_stages))
+    stages = operation_stages(instance, seqs, validate=True)
+    assert np.array_equal(stages, wide_key_stages(seqs, n_stages))
+    assert argsort_key_dtypes == [np.int16]
+
+
+def test_operation_stages_wide_path_beyond_int16(argsort_key_dtypes):
+    # only n_jobs and n_stages are read; job ids past 2**15 would wrap in
+    # int16, put the sort out of job order and fail validation
+    n_jobs = 40000
+    instance = SimpleNamespace(n_jobs=n_jobs, n_stages=1)
+    rng = make_rng(3)
+    seqs = np.stack([rng.permutation(n_jobs) for _ in range(2)])
+    stages = operation_stages(instance, seqs, validate=True)
+    assert argsort_key_dtypes == [np.int64]
+    assert stages.dtype == np.int64
+    assert np.array_equal(stages, wide_key_stages(seqs, 1))
 
 
 def test_batch_jobshop_single_row_and_empty():

@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 
 import repro
 from repro import GAConfig, MaxGenerations, Population, Problem, SolverSpec
+from repro.core import rng as rng_module
+from repro.core.rng import cell_draws
 from repro.core.substrate import ArrayPopulationView, ArrayState, GridState
 from repro.encodings import (FlowShopPermutationEncoding,
                              OperationBasedEncoding,
@@ -114,6 +116,7 @@ class TestGridState:
         assert view.best().objective == snapshot.best().objective
         assert view.stats().as_dict() == \
             pytest.approx(snapshot.stats().as_dict())
+        assert view.unique_fraction() == snapshot.unique_fraction()
 
 
 # -- closure of the grid kernels -------------------------------------------------
@@ -239,6 +242,100 @@ class TestRateExtremeEquivalence:
             else:
                 assert np.array_equal(ga.grid_state.matrix, matrix)
                 assert np.array_equal(ga.grid_state.objectives, objs)
+
+
+# -- per-cell draws as one raw block ---------------------------------------------
+
+def per_cell_loop(rng, n, k):
+    """The object path's draws for ``n`` cells, literally cell by cell."""
+    mates, cross_u, mut_u = [], [], []
+    for _ in range(n):
+        mates.append(rng.integers(0, k, size=2))
+        cross_u.append(rng.random())
+        mut_u.append(rng.random())
+    return (np.asarray(mates, dtype=np.int64).reshape(n, 2),
+            np.asarray(cross_u), np.asarray(mut_u))
+
+
+def rng_pair(bit_generator, seed, cached):
+    """Two identical generators; ``cached`` leaves half an output cached."""
+    pair = [np.random.Generator(bit_generator(seed)) for _ in range(2)]
+    if cached:
+        for rng in pair:  # one 32-bit draw uses half of a 64-bit output
+            rng.integers(0, 10, size=1, dtype=np.int32)
+    return pair
+
+
+def assert_block_matches_loop(bit_generator, seed, n, k, cached):
+    block_rng, loop_rng = rng_pair(bit_generator, seed, cached)
+    got = cell_draws(block_rng, n, k)
+    expect = per_cell_loop(loop_rng, n, k)
+    for g, e in zip(got, expect):
+        assert g.dtype == e.dtype
+        assert np.array_equal(g, e)
+    np.testing.assert_equal(block_rng.bit_generator.state,
+                            loop_rng.bit_generator.state)
+
+
+@pytest.fixture
+def loop_calls(monkeypatch):
+    """Count the per-cell loop replays of :func:`cell_draws`."""
+    calls = []
+    loop = rng_module._cell_draws_loop
+
+    def counted(rng, n, k):
+        calls.append((n, k))
+        return loop(rng, n, k)
+
+    monkeypatch.setattr(rng_module, "_cell_draws_loop", counted)
+    return calls
+
+
+class TestCellDraws:
+    @pytest.mark.parametrize("cached", [False, True],
+                             ids=["empty-cache", "cached-half"])
+    def test_priming_controls_the_pcg64_cache(self, cached):
+        rng, _ = rng_pair(np.random.PCG64, 0, cached)
+        assert rng.bit_generator.state["has_uint32"] == int(cached)
+
+    @pytest.mark.parametrize("cached", [False, True],
+                             ids=["empty-cache", "cached-half"])
+    @pytest.mark.parametrize("n", [1, 2, 196])
+    @pytest.mark.parametrize("k", sorted({len(offsets) for offsets
+                                          in NEIGHBORHOODS.values()}))
+    def test_neighbourhood_sizes_match_the_loop(self, loop_calls, k, n,
+                                                cached):
+        for seed in range(30):
+            assert_block_matches_loop(np.random.PCG64, seed, n, k, cached)
+        # at small k a possible rejection has odds ~k / 2**32 per draw, and
+        # none of these seeds hits one: every case ran on the raw block
+        assert loop_calls == []
+
+    @pytest.mark.parametrize("cached", [False, True],
+                             ids=["empty-cache", "cached-half"])
+    @pytest.mark.parametrize("n", [1, 2, 196])
+    def test_random_k_match_the_loop(self, n, cached):
+        ks = np.random.default_rng(n).integers(2, 65, size=40)
+        for seed, k in enumerate(ks.tolist()):
+            assert_block_matches_loop(np.random.PCG64, seed, n, k, cached)
+
+    @pytest.mark.parametrize("cached", [False, True],
+                             ids=["empty-cache", "cached-half"])
+    def test_other_bit_generators_replay_the_loop(self, loop_calls, cached):
+        for seed in range(5):
+            assert_block_matches_loop(np.random.MT19937, seed, 196, 5,
+                                      cached)
+        assert len(loop_calls) == 5
+
+    @pytest.mark.parametrize("cached", [False, True],
+                             ids=["empty-cache", "cached-half"])
+    def test_possible_rejection_replays_the_loop(self, loop_calls, cached):
+        # at k ~ 3e9 most Lemire leftovers fall below k, so a 196-cell
+        # block always holds a possible rejection
+        for seed in range(5):
+            assert_block_matches_loop(np.random.PCG64, seed, 196,
+                                      3_000_000_000, cached)
+        assert len(loop_calls) == 5
 
 
 # -- quality parity + engines ----------------------------------------------------

@@ -103,16 +103,21 @@ class TestPopulation:
         assert obj[0] == 2.0 and np.isnan(obj[1])
 
     def test_stats(self):
-        stats = _pop([2, 4, 6, 8]).stats()
+        pop = _pop([2, 4, 6, 8])
+        stats = pop.stats()
         assert stats.best == 2 and stats.worst == 8
         assert stats.mean == 5.0
         assert stats.size == 4
-        assert stats.unique_fraction == 1.0
+        assert set(stats.as_dict()) == {"size", "best", "worst", "mean",
+                                        "std"}
+        assert pop.unique_fraction() == 1.0
 
     def test_stats_unique_fraction_detects_duplicates(self):
         a = Individual(np.array([7]), objective=1.0)
         b = Individual(np.array([7]), objective=2.0)
-        assert Population([a, b]).stats().unique_fraction == 0.5
+        assert Population([a, b]).unique_fraction() == 0.5
+        with pytest.raises(ValueError, match="empty"):
+            Population().unique_fraction()
 
     def test_copy_independent(self):
         pop = _pop([1, 2])

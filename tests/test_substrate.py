@@ -511,12 +511,40 @@ class TestSupportStructures:
         materialized = Population(ind.copy() for ind in view)
         assert materialized.stats().as_dict() == \
             pytest.approx(view.stats().as_dict())
+        assert view.unique_fraction() == materialized.unique_fraction()
         assert view.best().objective == materialized.best().objective
         assert view.worst().objective == materialized.worst().objective
         with pytest.raises(TypeError, match="read-only"):
             view[0] = materialized[0]
         with pytest.raises(TypeError, match="read-only"):
             view.append(materialized[0])
+
+    def test_view_unique_fraction_counts_duplicate_rows(self, ft06_problem):
+        rng = np.random.default_rng(2)
+        rows = [ft06_problem.random_genome(rng) for _ in range(3)]
+        matrix = np.stack([rows[0], rows[1], rows[0], rows[2], rows[0]])
+        view = ArrayPopulationView(ft06_problem, ArrayState(
+            matrix, np.arange(5, dtype=float)))
+        snapshot = Population(ind.copy() for ind in view)
+        assert view.unique_fraction() == snapshot.unique_fraction() == 0.6
+
+    @pytest.mark.parametrize("substrate", ["object", "array"])
+    @pytest.mark.parametrize("engine,params", [
+        ("simple", {}), ("island", {"islands": 2}),
+        ("cellular", {"rows": 4, "cols": 4})])
+    def test_generation_loop_never_computes_diversity(self, monkeypatch,
+                                                      engine, params,
+                                                      substrate):
+        def forbidden(self):
+            raise AssertionError("unique_fraction() ran inside a solve")
+
+        # the array view inherits the method, so this covers both substrates
+        monkeypatch.setattr(Population, "unique_fraction", forbidden)
+        report = repro.solve(repro.SolverSpec(
+            instance="ft06", engine=engine, substrate=substrate,
+            engine_params=params, ga={"population_size": 16},
+            termination={"max_generations": 10}, seed=3))
+        assert report.generations == 10
 
     def test_population_array_adapters_round_trip(self, ft06_problem):
         rng = np.random.default_rng(1)
