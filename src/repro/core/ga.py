@@ -21,7 +21,10 @@ the algorithm".
 
 The engine exposes both ``run()`` (full loop) and ``step()`` (one
 generation), the latter reused verbatim by the island model where every
-island is a SimpleGA.
+island is a SimpleGA.  On the array substrate a generation also comes in
+two halves, :meth:`SimpleGA.breed` (the draws) and
+:meth:`SimpleGA.absorb` (the merged result), which :func:`lockstep` uses
+to run the generation of many islands as one.
 """
 
 from __future__ import annotations
@@ -36,17 +39,19 @@ from ..encodings.base import Problem
 from ..operators.crossover import Crossover, default_crossover_for
 from ..operators.mutation import Mutation, default_mutation_for
 from ..operators.selection import Selection, RouletteWheelSelection
+from .backend import active_namespace as _xp
 from .fitness import FitnessTransform, HeuristicOffsetFitness, apply_fitness
 from .individual import Individual, copy_genome
 from .observers import HistoryRecorder, Observer
 from .population import Population
 from .rng import make_rng
-from .substrate import (SUBSTRATES, ArrayPopulationView, ArrayState,
+from .substrate import (SUBSTRATES, ArrayPopulationView, ArrayState, Brood,
                         check_array_support, elitist_merge_arrays,
-                        make_offspring_matrix, random_matrix)
+                        elitist_merge_rows, make_offspring_matrix,
+                        random_matrix, vary_broods)
 from .termination import MaxGenerations, Termination, TerminationState
 
-__all__ = ["GAConfig", "GAResult", "SimpleGA", "Evaluator"]
+__all__ = ["GAConfig", "GAResult", "SimpleGA", "Evaluator", "lockstep"]
 
 Evaluator = Callable[[Sequence[Any]], np.ndarray]
 
@@ -298,8 +303,8 @@ class SimpleGA:
             ind.objective = float(obj)
         self.state.evaluations += len(todo)
 
-    def _evaluate_matrix(self, matrix: np.ndarray) -> np.ndarray:
-        """Objectives of a chromosome matrix (array-substrate evaluation).
+    def _score_matrix(self, matrix: np.ndarray) -> np.ndarray:
+        """Objectives of a chromosome matrix, not yet counted.
 
         Uses the batch seam when the problem/evaluator provide one;
         otherwise un-stacks rows and scores through the per-genome
@@ -310,8 +315,13 @@ class SimpleGA:
         else:
             genomes = [self.problem.unstack_row(row) for row in matrix]
             objectives = self.evaluator(genomes)
-        self.state.evaluations += matrix.shape[0]
         return np.asarray(objectives, dtype=float)
+
+    def _evaluate_matrix(self, matrix: np.ndarray) -> np.ndarray:
+        """Objectives of a chromosome matrix (array-substrate evaluation)."""
+        objectives = self._score_matrix(matrix)
+        self.state.evaluations += matrix.shape[0]
+        return objectives
 
     def _notify(self) -> None:
         best = self.population.best()
@@ -350,30 +360,53 @@ class SimpleGA:
             offspring.append(Individual(self.problem.random_genome(self.rng)))
         return offspring
 
-    def step(self) -> Population:
-        """One generation (lines 3-7 of Table II).
+    @property
+    def brood_sizes(self) -> tuple[int, int]:
+        """``(n_bred, n_keep)``: offspring bred and parents kept per generation.
 
         With ``generation_gap < 1`` only the bred fraction of the
         population is produced and the unbred remainder survives via a
         larger elite carry-over (partial replacement, Akhshabi [18]).
         """
-        if self.population is None:
-            self.initialize()
-        self.state.generation += 1
         cfg = self.config
         n_bred = max(2, int(round(cfg.generation_gap * cfg.population_size)))
-        n_keep = max(cfg.n_elites, cfg.population_size - n_bred)
+        return n_bred, max(cfg.n_elites, cfg.population_size - n_bred)
+
+    def breed(self) -> Brood:
+        """First half of an array generation: count it and make its draws.
+
+        The returned :class:`~repro.core.substrate.Brood` holds this
+        engine's selection, gates and crossover draws; no kernel has run
+        yet, so :func:`lockstep` can vary many engines' broods together.
+        """
+        self.state.generation += 1
+        return Brood(self.arrays, self.config, self.problem, self.rng,
+                     self.brood_sizes[0])
+
+    def absorb(self, matrix: np.ndarray, objectives: np.ndarray) -> None:
+        """Second half of an array generation: adopt the merged next
+        generation and notify the observers."""
+        self.adopt_arrays(matrix, objectives)
+        self._notify()
+
+    def step(self) -> Population:
+        """One generation (lines 3-7 of Table II)."""
+        if self.population is None:
+            self.initialize()
+        cfg = self.config
+        n_bred, n_keep = self.brood_sizes
+        self.state.generation += 1
         if self.substrate == "array":
             offspring = make_offspring_matrix(self.arrays, cfg,
                                               self.problem, self.rng, n_bred)
             objectives = self._evaluate_matrix(offspring)
-            self.adopt_arrays(*elitist_merge_arrays(
+            self.absorb(*elitist_merge_arrays(
                 self.arrays, offspring, objectives, n_keep,
                 cfg.population_size))
-        else:
-            offspring = self.make_offspring(self.population, n_bred)
-            self._evaluate(offspring)
-            self.population = self.population.elitist_merge(offspring, n_keep)
+            return self.population
+        offspring = self.make_offspring(self.population, n_bred)
+        self._evaluate(offspring)
+        self.population = self.population.elitist_merge(offspring, n_keep)
         self._notify()
         return self.population
 
@@ -394,3 +427,41 @@ class SimpleGA:
             termination_reason=self.termination.reason(),
             extra={"substrate": self.substrate},
         )
+
+
+def lockstep(engines: Sequence[SimpleGA]) -> None:
+    """One array-substrate generation of several engines, run as one.
+
+    Bit-identical to calling ``step()`` on each engine in turn: every
+    engine makes its draws on its own RNG (:meth:`SimpleGA.breed`), one
+    kernel call per distinct operator object varies all broods
+    (:func:`~repro.core.substrate.vary_broods`), one decode scores every
+    offspring row, and the elitist merge runs row-wise over the stacked
+    populations (:func:`~repro.core.substrate.elitist_merge_rows`, once
+    per distinct population and brood size).  The engines must share one
+    problem and evaluator -- the islands of one island GA.  Engines must
+    be initialised.
+    """
+    xp = _xp()
+    broods = [ga.breed() for ga in engines]
+    offspring = vary_broods(broods)
+    objectives = engines[0]._score_matrix(
+        offspring[0] if len(offspring) == 1 else xp.concatenate(offspring))
+    groups: dict[tuple[int, int, int, int], list] = {}
+    at = 0
+    for ga, rows in zip(engines, offspring):
+        count = rows.shape[0]
+        ga.state.evaluations += count
+        key = (len(ga.arrays), ga.config.population_size, count,
+               ga.brood_sizes[1])
+        groups.setdefault(key, []).append(
+            (ga, rows, objectives[at:at + count]))
+        at += count
+    for (_, size, _, n_keep), members in groups.items():
+        matrix, objs = elitist_merge_rows(
+            xp.stack([ga.arrays.matrix for ga, _, _ in members]),
+            xp.stack([ga.arrays.objectives for ga, _, _ in members]),
+            xp.stack([rows for _, rows, _ in members]),
+            xp.stack([o for _, _, o in members]), n_keep, size)
+        for j, (ga, _, _) in enumerate(members):
+            ga.absorb(matrix[j], objs[j])

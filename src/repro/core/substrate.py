@@ -17,6 +17,14 @@ matrices into one ``(n_islands, pop, n_genes)`` tensor whose migration is
 pure slice assignment, and the declarative API exposes it as
 ``SolverSpec.substrate`` / ``--substrate array``.
 
+A generation's variation is a :class:`Brood`: construction makes the
+population's draws on its own RNG, :func:`vary_broods` runs the kernels.
+Because kernels never draw, the island engine breeds every island, varies
+all broods with one kernel call per operator, decodes all offspring as
+one matrix and merges with a row-wise top-k over the stacked objectives
+(:func:`elitist_merge_rows`) -- the same results as stepping each island
+alone.
+
 Conformance contract (see ``tests/test_substrate.py``): closure per
 batch operator, *exact* equality with the object substrate at the
 crossover/mutation rate extremes under a shared RNG, and quality parity
@@ -26,24 +34,28 @@ rates is out of scope because batching reorders the RNG stream.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
 from ..operators.batch import (batch_crossover_for, batch_mutation_for,
-                               batch_selection_for)
+                               batch_selection_for, split_crossover_for,
+                               split_mutation_for, stack_params)
 from .backend import active_backend
 from .backend import active_namespace as _xp
 from .fitness import apply_fitness_array
 from .individual import Individual
 from .population import Population
 
+Array = np.ndarray
+Generator = np.random.Generator
+
 __all__ = [
     "SUBSTRATES", "available_substrates",
     "ArrayState", "GridState", "ArrayPopulationView",
     "check_array_support", "stable_topk",
-    "make_offspring_matrix", "elitist_merge_arrays",
-    "random_matrix",
+    "Brood", "vary_broods", "make_offspring_matrix",
+    "elitist_merge_rows", "elitist_merge_arrays", "random_matrix",
 ]
 
 #: The two generation substrates engines can run on.
@@ -92,7 +104,7 @@ def check_array_support(problem: Any, config: Any,
     batch_mutation_for(config.mutation)
 
 
-def stable_topk(values: np.ndarray, k: int) -> np.ndarray:
+def stable_topk(values: Array, k: int) -> Array:
     """Indices of the ``k`` smallest values, ascending, ties by index.
 
     Equivalent to ``np.argsort(values, kind="stable")[:k]`` -- and hence
@@ -119,7 +131,7 @@ def stable_topk(values: np.ndarray, k: int) -> np.ndarray:
 
 
 def random_matrix(problem: Any, count: int,
-                  rng: np.random.Generator) -> np.ndarray:
+                  rng: Generator) -> Array:
     """``count`` random genomes stacked into a chromosome matrix.
 
     Draws with the exact same ``problem.random_genome`` calls as the
@@ -147,7 +159,7 @@ class ArrayState:
 
     __slots__ = ("matrix", "objectives", "version")
 
-    def __init__(self, matrix: np.ndarray, objectives: np.ndarray):
+    def __init__(self, matrix: Array, objectives: Array):
         self.matrix = np.asarray(matrix)
         self.objectives = np.asarray(objectives, dtype=float)
         self.version = 0
@@ -163,7 +175,7 @@ class ArrayState:
         """Mark the arrays as mutated (invalidates derived caches)."""
         self.version += 1
 
-    def update(self, matrix: np.ndarray, objectives: np.ndarray) -> None:
+    def update(self, matrix: Array, objectives: Array) -> None:
         """Adopt the next generation, in place when shapes allow."""
         if matrix.shape == self.matrix.shape \
                 and matrix.dtype == self.matrix.dtype:
@@ -196,7 +208,7 @@ class GridState(ArrayState):
 
     __slots__ = ("rows", "cols")
 
-    def __init__(self, tensor: np.ndarray, objectives: np.ndarray):
+    def __init__(self, tensor: Array, objectives: Array):
         xp = _xp()
         tensor = xp.ascontiguousarray(tensor)
         objectives = xp.ascontiguousarray(
@@ -209,7 +221,7 @@ class GridState(ArrayState):
                          objectives.reshape(-1))
 
     @classmethod
-    def from_matrix(cls, matrix: np.ndarray, objectives: np.ndarray,
+    def from_matrix(cls, matrix: Array, objectives: Array,
                     rows: int, cols: int) -> "GridState":
         """Grid over an already-flat (row-major) population matrix."""
         matrix = np.asarray(matrix)
@@ -217,12 +229,12 @@ class GridState(ArrayState):
                    np.asarray(objectives, dtype=float).reshape(rows, cols))
 
     @property
-    def tensor(self) -> np.ndarray:
+    def tensor(self) -> Array:
         """``(rows, cols, n_genes)`` chromosome tensor (a live view)."""
         return self.matrix.reshape(self.rows, self.cols, -1)
 
     @property
-    def objective_grid(self) -> np.ndarray:
+    def objective_grid(self) -> Array:
         """``(rows, cols)`` objective grid (a live view)."""
         return self.objectives.reshape(self.rows, self.cols)
 
@@ -268,7 +280,7 @@ class ArrayPopulationView(Population):
     def __len__(self) -> int:
         return len(self._state)
 
-    def objectives(self) -> np.ndarray:
+    def objectives(self) -> Array:
         return self._state.objectives.copy()
 
     def best(self) -> Individual:
@@ -308,71 +320,183 @@ class ArrayPopulationView(Population):
     extend = _read_only
 
 
+class Brood:
+    """One population's offspring for one generation, bred in stages.
+
+    Construction makes the generation's first draws on the population's
+    own RNG, in the object substrate's stage order: fitness, selection,
+    crossover gates, crossover draws, mutation gates.
+    :func:`vary_broods` then runs the crossover kernels, makes each
+    brood's mutation draws and immigrants (the rest of the stage order)
+    and runs the mutation kernels.  Kernels never draw, so the broods of
+    several populations -- one per island -- share one kernel call per
+    operator, and every RNG still sees exactly the calls that varying
+    its population alone makes.
+
+    The selected parents are kept interleaved (``A`` rows even, ``B``
+    rows odd); crossover writes the children over them in place, so
+    their first ``n_bred`` rows become the bred offspring.
+    """
+
+    __slots__ = ("config", "problem", "rng", "n_bred", "n_immigrants",
+                 "parents", "gates", "mut_gates", "crossover", "mutation",
+                 "immigrants")
+
+    def __init__(self, state: ArrayState, config: Any, problem: Any,
+                 rng: Generator, count: int):
+        xp = _xp()
+        matrix, objectives = state.matrix, state.objectives
+        self.config, self.problem, self.rng = config, problem, rng
+        self.n_immigrants = int(round(config.immigration_rate * count))
+        self.n_bred = count - self.n_immigrants
+        #: pending kernels: ``(twin, *input rows, params)``, None when done
+        self.crossover = self.mutation = None
+        self.immigrants = None
+        self.mut_gates = None
+        if self.n_bred == 0:
+            self.parents = xp.empty((0, matrix.shape[1]), dtype=matrix.dtype)
+            return
+        fitness = apply_fitness_array(objectives, config.fitness_transform)
+        select = batch_selection_for(config.selection)
+        parent_idx = select(fitness, objectives,
+                            self.n_bred + (self.n_bred % 2), rng)
+        self.parents = matrix[parent_idx]
+        self.gates = rng.random(self.parents.shape[0] // 2) \
+            < config.crossover_rate
+        if self.gates.any():
+            op = config.crossover
+            twin = split_crossover_for(op)
+            A = self.parents[0::2][self.gates]
+            B = self.parents[1::2][self.gates]
+            self.crossover = (twin, A, B, twin.draw(op, A, B, rng))
+        self.mut_gates = rng.random(self.n_bred) < config.mutation_rate
+
+    @property
+    def bred(self) -> Array:
+        """The bred rows (a live view: kernels write into it)."""
+        return self.parents[:self.n_bred]
+
+    def draw_mutation(self) -> None:
+        """Mutation draws, then immigrants: the stages after crossover."""
+        if self.mut_gates is not None and self.mut_gates.any():
+            op = self.config.mutation
+            twin = split_mutation_for(op)
+            rows = self.bred[self.mut_gates]
+            self.mutation = (twin, rows, twin.draw(op, rows, self.rng))
+        if self.n_immigrants > 0:
+            self.immigrants = random_matrix(
+                self.problem, self.n_immigrants, self.rng).astype(
+                    self.parents.dtype, copy=False)
+
+    def offspring(self) -> Array:
+        """``(count, n_genes)``: bred rows, then immigrants."""
+        if self.immigrants is None:
+            return self.bred
+        return _xp().concatenate([self.bred, self.immigrants])
+
+
+def _operator_groups(broods: Sequence[Brood], stage: str) -> list:
+    """Broods with a pending ``stage`` kernel, grouped by operator object."""
+    groups: dict[int, list[Brood]] = {}
+    for brood in broods:
+        if getattr(brood, stage) is not None:
+            op = getattr(brood.config, stage)
+            groups.setdefault(id(op), []).append(brood)
+    return list(groups.values())
+
+
+def _concat(blocks: list) -> Array:
+    return blocks[0] if len(blocks) == 1 else _xp().concatenate(blocks)
+
+
+def vary_broods(broods: Sequence[Brood]) -> list[Array]:
+    """Finish the broods; returns each one's ``(count, n_genes)`` offspring.
+
+    One crossover kernel call, then one mutation kernel call, per distinct
+    operator object covers the gated rows of every brood; a row's result
+    does not depend on the rows stacked next to it, so each brood's
+    offspring equal what varying it alone gives.
+    """
+    for group in _operator_groups(broods, "crossover"):
+        twin = group[0].crossover[0]
+        CA, CB = twin.kernel(group[0].config.crossover,
+                             _concat([b.crossover[1] for b in group]),
+                             _concat([b.crossover[2] for b in group]),
+                             stack_params([b.crossover[3] for b in group]))
+        at = 0
+        for brood in group:
+            k = brood.crossover[1].shape[0]
+            brood.parents[0::2][brood.gates] = CA[at:at + k]
+            brood.parents[1::2][brood.gates] = CB[at:at + k]
+            brood.crossover = None
+            at += k
+    for brood in broods:
+        brood.draw_mutation()
+    for group in _operator_groups(broods, "mutation"):
+        twin = group[0].mutation[0]
+        out = twin.kernel(group[0].config.mutation,
+                          _concat([b.mutation[1] for b in group]),
+                          stack_params([b.mutation[2] for b in group]))
+        at = 0
+        for brood in group:
+            k = brood.mutation[1].shape[0]
+            brood.bred[brood.mut_gates] = out[at:at + k]
+            brood.mutation = None
+            at += k
+    return [brood.offspring() for brood in broods]
+
+
 def make_offspring_matrix(state: ArrayState, config: Any, problem: Any,
-                          rng: np.random.Generator, count: int) -> np.ndarray:
+                          rng: Generator, count: int) -> Array:
     """Selection + crossover + mutation + immigration, all as matrices.
 
     The array twin of ``SimpleGA.make_offspring``: same stage order, same
     rate arithmetic, same number of gate draws -- only the per-pair
     operator applications are batched.  Returns the ``(count, n_genes)``
-    offspring matrix (unevaluated).
+    offspring matrix (unevaluated); a :class:`Brood` of one population.
+    """
+    return vary_broods([Brood(state, config, problem, rng, count)])[0]
+
+
+def elitist_merge_rows(parents: Array, parent_objectives: Array,
+                       offspring: Array,
+                       offspring_objectives: Array, n_elites: int,
+                       size: int) -> tuple[Array, Array]:
+    """:func:`elitist_merge_arrays` over a stack of populations at once.
+
+    ``parents`` is ``(k, pop, n_genes)`` with ``(k, pop)`` objectives,
+    ``offspring`` ``(k, count, n_genes)`` with ``(k, count)``; returns the
+    ``(k, size, n_genes)`` next generations and their objectives.  Every
+    population is merged exactly as alone: the selections are row-wise
+    stable top-k over the objective matrices.
     """
     xp = _xp()
-    matrix, objectives = state.matrix, state.objectives
-    fitness = apply_fitness_array(objectives, config.fitness_transform)
-    n_immigrants = int(round(config.immigration_rate * count))
-    n_bred = count - n_immigrants
-    parts = []
-    if n_bred > 0:
-        select = batch_selection_for(config.selection)
-        parent_idx = select(fitness, objectives, n_bred + (n_bred % 2), rng)
-        parents = matrix[parent_idx]
-        A, B = parents[0::2], parents[1::2]
-        gates = rng.random(A.shape[0]) < config.crossover_rate
-        child_a, child_b = xp.copy(A), xp.copy(B)
-        if gates.any():
-            cross = batch_crossover_for(config.crossover)
-            xa, xb = cross(A[gates], B[gates], rng)
-            child_a[gates] = xa
-            child_b[gates] = xb
-        bred = xp.empty((2 * A.shape[0], matrix.shape[1]),
-                        dtype=matrix.dtype)
-        bred[0::2] = child_a
-        bred[1::2] = child_b
-        bred = bred[:n_bred]
-        mut_gates = rng.random(n_bred) < config.mutation_rate
-        if mut_gates.any():
-            mutate = batch_mutation_for(config.mutation)
-            bred[mut_gates] = mutate(bred[mut_gates], rng)
-        parts.append(bred)
-    if n_immigrants > 0:
-        parts.append(random_matrix(problem, n_immigrants, rng)
-                     .astype(matrix.dtype, copy=False))
-    if not parts:
-        return xp.empty((0, matrix.shape[1]), dtype=matrix.dtype)
-    return parts[0] if len(parts) == 1 else xp.concatenate(parts)
+    n_elite = min(n_elites, parent_objectives.shape[1])
+    n_fill = max(0, min(size - n_elite, offspring_objectives.shape[1]))
+    short = size - n_elite - n_fill
+    order = xp.stable_argsort(parent_objectives, axis=1)
+    picks = [(parents, parent_objectives, order[:, :n_elite]),
+             (offspring, offspring_objectives,
+              xp.stable_argsort(offspring_objectives, axis=1)[:, :n_fill])]
+    if short > 0:  # offspring shortage: pad with next-best parents
+        picks.append((parents, parent_objectives,
+                      order[:, n_elite:n_elite + short]))
+    stack = xp.arange(parent_objectives.shape[0], dtype=xp.int64)[:, None]
+    rows = [m[stack, idx] for m, _, idx in picks]
+    objs = [o[stack, idx] for _, o, idx in picks]
+    return xp.concatenate(rows, axis=1), xp.concatenate(objs, axis=1)
 
 
-def elitist_merge_arrays(state: ArrayState, offspring: np.ndarray,
-                         offspring_objectives: np.ndarray, n_elites: int,
-                         size: int) -> tuple[np.ndarray, np.ndarray]:
+def elitist_merge_arrays(state: ArrayState, offspring: Array,
+                         offspring_objectives: Array, n_elites: int,
+                         size: int) -> tuple[Array, Array]:
     """Array twin of ``Population.elitist_merge``.
 
     Next generation = ``n_elites`` best parents + best offspring fill
     (+ next-best parents when offspring run short), in the same
     best-first, tie-stable order as the object substrate.
     """
-    xp = _xp()
-    parent_obj = state.objectives
-    elite_idx = stable_topk(parent_obj, min(n_elites, len(state)))
-    n_fill = min(size - elite_idx.size, offspring.shape[0])
-    fill_idx = stable_topk(offspring_objectives, n_fill)
-    rows = [state.matrix[elite_idx], offspring[fill_idx]]
-    objs = [parent_obj[elite_idx], offspring_objectives[fill_idx]]
-    short = size - elite_idx.size - fill_idx.size
-    if short > 0:  # offspring shortage: pad with next-best parents
-        order = stable_topk(parent_obj, len(state))
-        backfill = order[elite_idx.size:elite_idx.size + short]
-        rows.append(state.matrix[backfill])
-        objs.append(parent_obj[backfill])
-    return xp.concatenate(rows), xp.concatenate(objs)
+    rows, objs = elitist_merge_rows(
+        state.matrix[None], state.objectives[None], offspring[None],
+        offspring_objectives[None], n_elites, size)
+    return rows[0], objs[0]

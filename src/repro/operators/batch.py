@@ -41,13 +41,18 @@ conformance (see ``docs/architecture.md``, "Two substrates").
 Dispatch is by operator class: :func:`batch_selection_for` /
 :func:`batch_crossover_for` / :func:`batch_mutation_for` map a
 configured scalar operator instance to its batch twin, honouring the
-instance's parameters.  Third-party operators join via the
-``register_batch_*`` hooks.
+instance's parameters.  Every built-in crossover and mutation twin is a
+:class:`SplitTwin` -- a draw step that makes all RNG calls and a
+row-wise kernel step that makes none -- so the island engine can draw
+per island and vary every island's rows with one kernel call
+(:func:`split_crossover_for` / :func:`split_mutation_for`,
+:func:`stack_params`).  Third-party operators join via the
+``register_batch_*`` hooks as one-shot twins.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -68,19 +73,19 @@ __all__ = [
     "batch_selection_for", "batch_crossover_for", "batch_mutation_for",
     "register_batch_selection", "register_batch_crossover",
     "register_batch_mutation",
+    "SplitTwin", "split_crossover_for", "split_mutation_for", "stack_params",
     "supported_batch_operators",
     "row_occurrence", "row_bincount", "batch_repair_to_multiset",
     "ox_kernel", "pmx_kernel", "jox_kernel", "npoint_kernel",
     "inversion_kernel", "shift_kernel",
 ]
 
-BatchSelection = Callable[..., np.ndarray]
-BatchCrossover = Callable[..., tuple[np.ndarray, np.ndarray]]
-BatchMutation = Callable[..., np.ndarray]
+Array = np.ndarray
+Generator = np.random.Generator
 
 _BATCH_SELECTIONS: dict[type, Callable] = {}
-_BATCH_CROSSOVERS: dict[type, Callable] = {}
-_BATCH_MUTATIONS: dict[type, Callable] = {}
+_BATCH_CROSSOVERS: dict[type, Callable | SplitTwin] = {}
+_BATCH_MUTATIONS: dict[type, Callable | SplitTwin] = {}
 
 
 # -- shared integer-genome machinery ---------------------------------------------
@@ -175,7 +180,10 @@ def ox_kernel(A: np.ndarray, B: np.ndarray, lo: np.ndarray,
     """Row-wise OX child: keep ``A[lo:hi)``, fill from B wrapped at hi.
 
     Bit-identical to ``OrderCrossover._ox_child`` per row (multiset-safe,
-    wrap-around fill order).
+    wrap-around fill order).  B's value at a fill slot is taken while its
+    occurrence count in the wrapped order is below what A's segment left
+    missing; when every row of A is a permutation, all counts are zero,
+    so the sort behind :func:`row_occurrence` is skipped.
     """
     xp = _xp()
     m, n = A.shape
@@ -190,8 +198,10 @@ def ox_kernel(A: np.ndarray, B: np.ndarray, lo: np.ndarray,
     # slots 0 .. n-seg_len-1 enumerate hi..n-1, 0..lo-1 -- the OX fill order
     rot_idx = (hi[:, None] + pos) % n
     B_rot = xp.take_along_axis(B, rot_idx, axis=1)
-    occ = row_occurrence(B_rot, n_values)
-    take = occ < need[rows, B_rot]
+    if int(xp.max(counts)) <= 1:
+        take = need[rows, B_rot] > 0
+    else:
+        take = row_occurrence(B_rot, n_values) < need[rows, B_rot]
     seg_len = hi - lo
     fill_slots = pos < (n - seg_len)[:, None]
     child = A.copy()
@@ -285,44 +295,142 @@ def shift_kernel(X: np.ndarray, src: np.ndarray,
     return out
 
 
+# -- split twins -----------------------------------------------------------------
+#
+# Every built-in crossover and mutation twin comes in two halves: ``draw``
+# makes all of the twin's RNG calls and returns its parameters (cut
+# points, masks, redrawn values) with rows on axis 0, and ``kernel``
+# applies them row by row without touching the RNG.  The one-shot twin
+# that ``batch_*_for`` returns is draw-then-kernel, so both forms share
+# one implementation -- and because kernels never draw, the parameters
+# of several populations' rows can be stacked (:func:`stack_params`) and
+# varied by one kernel call while each population keeps its own stream.
+
+class SplitTwin(NamedTuple):
+    """A batch twin as a draw step plus a row-wise, draw-free kernel step.
+
+    Crossover: ``draw(op, A, B, rng) -> params`` and
+    ``kernel(op, A, B, params) -> (CA, CB)``.  Mutation:
+    ``draw(op, X, rng) -> params`` (the built-ins read only ``X.shape``)
+    and ``kernel(op, X, params) -> X'``.
+    """
+
+    draw: Callable
+    kernel: Callable
+
+
+def _pass_through(op, *args):
+    """Kernel half of a one-shot twin: its draw already made the result."""
+    return args[-1]
+
+
+def _as_split(twin: Callable | SplitTwin) -> SplitTwin:
+    """A registered twin as a :class:`SplitTwin`.
+
+    A one-shot third-party twin (``fn(op, *rows, rng)``) has the draw
+    signature already: it becomes a draw that makes the whole call and a
+    kernel that passes its result through.
+    """
+    return twin if isinstance(twin, SplitTwin) else SplitTwin(twin,
+                                                              _pass_through)
+
+
+def stack_params(blocks: Sequence[Any]) -> Any:
+    """Concatenate several row blocks' draw params along the row axis.
+
+    ``kernel(op, concat(rows), stack_params(params))`` equals the
+    concatenation of the blocks' own kernel calls.  Params are ``None``,
+    arrays with rows on axis 0 (1-D redraw lists, taken in row-major mask
+    order, concatenate the same way) or tuples/lists of params.  2-D
+    params of unequal width -- JOX keep masks over job ids, when blocks
+    see different job counts -- are padded with zero (``False``) columns,
+    which the kernels never index.
+    """
+    first = blocks[0]
+    if len(blocks) == 1 or first is None:
+        return first
+    if isinstance(first, (tuple, list)):
+        return type(first)(stack_params(part) for part in zip(*blocks))
+    xp = _xp()
+    if first.ndim == 2:
+        width = max(block.shape[1] for block in blocks)
+        blocks = [block if block.shape[1] == width
+                  else xp.concatenate([block, xp.zeros(
+                      (block.shape[0], width - block.shape[1]),
+                      dtype=block.dtype)], axis=1)
+                  for block in blocks]
+    return xp.concatenate(blocks)
+
+
+def _live_parts(op, what: str) -> list[tuple[Any, slice]]:
+    """``(part_op, columns)`` of a composite operator's non-empty parts."""
+    if op.spans is None:
+        raise ValueError(
+            f"composite {what} has no part spans; the encoding must "
+            f"publish part_spans for the array substrate (or use "
+            f"substrate='object')")
+    parts, col = [], 0
+    for part_op, width in zip(op.parts, op.spans):
+        if part_op is not None and width > 0:
+            parts.append((part_op, slice(col, col + width)))
+        col += width
+    return parts
+
+
 # -- batch crossovers ------------------------------------------------------------
 
 def register_batch_crossover(scalar_cls: type):
-    """Register ``fn(op, A, B, rng) -> (CA, CB)`` as the batch twin."""
+    """Register ``fn(op, A, B, rng) -> (CA, CB)`` as the batch twin.
+
+    A one-shot twin has no draw/kernel split; the island engine's fused
+    generation calls it once per island.
+    """
     def deco(fn):
         _BATCH_CROSSOVERS[scalar_cls] = fn
         return fn
     return deco
 
 
-@register_batch_crossover(OrderCrossover)
-def _batch_ox(op: OrderCrossover, A: np.ndarray, B: np.ndarray,
-              rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+def _split_crossover(scalar_cls: type, draw: Callable):
+    """Register the decorated ``kernel(op, A, B, params)`` with ``draw``."""
+    def deco(kernel):
+        _BATCH_CROSSOVERS[scalar_cls] = SplitTwin(draw, kernel)
+        return kernel
+    return deco
+
+
+def _draw_segment(op, A: Array, B: Array, rng: Generator):
+    """Per-row segment ``[lo, hi)`` of at least two genes (OX, PMX)."""
     m, n = A.shape
     if n < 2:
-        return A.copy(), B.copy()
+        return None
     lo, hi = _sorted_distinct_pairs(n, m, rng)
-    hi = hi + 1
+    return lo, hi + 1
+
+
+@_split_crossover(OrderCrossover, _draw_segment)
+def _batch_ox(op, A: Array, B: Array, params) -> tuple[Array, Array]:
+    if params is None:
+        return A.copy(), B.copy()
+    lo, hi = params
     return ox_kernel(A, B, lo, hi), ox_kernel(B, A, lo, hi)
 
 
-@register_batch_crossover(PMXCrossover)
-def _batch_pmx(op: PMXCrossover, A: np.ndarray, B: np.ndarray,
-               rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    m, n = A.shape
-    if n < 2:
+@_split_crossover(PMXCrossover, _draw_segment)
+def _batch_pmx(op, A: Array, B: Array, params) -> tuple[Array, Array]:
+    if params is None:
         return A.copy(), B.copy()
-    lo, hi = _sorted_distinct_pairs(n, m, rng)
-    hi = hi + 1
+    lo, hi = params
     return pmx_kernel(A, B, lo, hi), pmx_kernel(B, A, lo, hi)
 
 
-@register_batch_crossover(JobBasedCrossover)
-def _batch_jox(op: JobBasedCrossover, A: np.ndarray, B: np.ndarray,
-               rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    m = A.shape[0]
-    n_jobs = _value_range(A, B)
-    keep = rng.random((m, n_jobs)) < 0.5
+def _draw_jox(op, A: Array, B: Array, rng: Generator) -> Array:
+    """Keep mask over job ids, as wide as these parents' job count."""
+    return rng.random((A.shape[0], _value_range(A, B))) < 0.5
+
+
+@_split_crossover(JobBasedCrossover, _draw_jox)
+def _batch_jox(op, A: Array, B: Array, keep: Array) -> tuple[Array, Array]:
     return jox_kernel(A, B, keep), jox_kernel(B, A, keep)
 
 
@@ -333,33 +441,43 @@ def _repair_pair(A, B, CA, CB):
             batch_repair_to_multiset(CB, counts, A))
 
 
-@register_batch_crossover(NPointCrossover)
-def _batch_npoint(op: NPointCrossover, A: np.ndarray, B: np.ndarray,
-                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+def _draw_npoint(op: NPointCrossover, A: Array, B: Array,
+                 rng: Generator):
+    """Sorted ``(rows, k)`` cut positions in ``1 .. n-1``."""
     xp = _xp()
     m, n = A.shape
     if n < 2:
-        return A.copy(), B.copy()
+        return None
     k = min(op.points, n - 1)
     if k == n - 1:
-        cuts = xp.tile(xp.arange(1, n, dtype=xp.int64), (m, 1))
-    else:
-        # k smallest random keys over positions 1..n-1 = a uniform
-        # k-subset without replacement, like the scalar rng.choice
-        keys = rng.random((m, n - 1))
-        cuts = xp.sort(xp.argpartition(keys, k - 1, axis=1)[:, :k],
-                       axis=1).astype(xp.int64) + 1
+        return xp.tile(xp.arange(1, n, dtype=xp.int64), (m, 1))
+    # k smallest random keys over positions 1..n-1 = a uniform k-subset
+    # without replacement, like the scalar rng.choice
+    keys = rng.random((m, n - 1))
+    return xp.sort(xp.argpartition(keys, k - 1, axis=1)[:, :k],
+                   axis=1).astype(xp.int64) + 1
+
+
+@_split_crossover(NPointCrossover, _draw_npoint)
+def _batch_npoint(op: NPointCrossover, A: Array, B: Array,
+                  cuts) -> tuple[Array, Array]:
+    if cuts is None:
+        return A.copy(), B.copy()
     CA, CB = npoint_kernel(A, B, cuts)
     if op.repair and np.issubdtype(A.dtype, np.integer):
         CA, CB = _repair_pair(A, B, CA, CB)
     return CA, CB
 
 
-@register_batch_crossover(UniformCrossover)
-def _batch_uniform(op: UniformCrossover, A: np.ndarray, B: np.ndarray,
-                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+def _draw_uniform(op: UniformCrossover, A: Array, B: Array,
+                  rng: Generator) -> Array:
+    return rng.random(A.shape) < op.swap_prob
+
+
+@_split_crossover(UniformCrossover, _draw_uniform)
+def _batch_uniform(op: UniformCrossover, A: Array, B: Array,
+                   mask: Array) -> tuple[Array, Array]:
     xp = _xp()
-    mask = rng.random(A.shape) < op.swap_prob
     CA = xp.where(mask, B, A)
     CB = xp.where(mask, A, B)
     if op.repair and np.issubdtype(A.dtype, np.integer):
@@ -367,21 +485,49 @@ def _batch_uniform(op: UniformCrossover, A: np.ndarray, B: np.ndarray,
     return CA, CB
 
 
-@register_batch_crossover(ParameterizedUniformCrossover)
-def _batch_param_uniform(op: ParameterizedUniformCrossover, A: np.ndarray,
-                         B: np.ndarray, rng: np.random.Generator
-                         ) -> tuple[np.ndarray, np.ndarray]:
+def _draw_param_uniform(op: ParameterizedUniformCrossover, A: Array,
+                        B: Array, rng: Generator) -> Array:
+    return rng.random(A.shape) < op.bias
+
+
+@_split_crossover(ParameterizedUniformCrossover, _draw_param_uniform)
+def _batch_param_uniform(op: ParameterizedUniformCrossover, A: Array,
+                         B: Array, take_a: Array) -> tuple[Array, Array]:
     xp = _xp()
     A = xp.asarray(A, dtype=xp.float64)
     B = xp.asarray(B, dtype=xp.float64)
-    take_a = rng.random(A.shape) < op.bias
     return xp.where(take_a, A, B), xp.where(take_a, B, A)
 
 
-@register_batch_crossover(CompositeCrossover)
-def _batch_composite_crossover(op: CompositeCrossover, A: np.ndarray,
-                               B: np.ndarray, rng: np.random.Generator
-                               ) -> tuple[np.ndarray, np.ndarray]:
+def _draw_arithmetic(op: ArithmeticCrossover, A: Array, B: Array,
+                     rng: Generator):
+    """Per-row blend weights; ``None`` for a fixed weight."""
+    if op.fixed_weight is not None:
+        return None
+    return rng.random((A.shape[0], 1))
+
+
+@_split_crossover(ArithmeticCrossover, _draw_arithmetic)
+def _batch_arithmetic(op: ArithmeticCrossover, A: Array, B: Array,
+                      w) -> tuple[Array, Array]:
+    xp = _xp()
+    A = xp.asarray(A, dtype=xp.float64)
+    B = xp.asarray(B, dtype=xp.float64)
+    if w is None:
+        w = op.fixed_weight
+    return w * A + (1 - w) * B, (1 - w) * A + w * B
+
+
+def _draw_composite_crossover(op: CompositeCrossover, A: Array, B: Array,
+                              rng: Generator) -> list:
+    return [split_crossover_for(part).draw(part, A[:, cols], B[:, cols],
+                                           rng)
+            for part, cols in _live_parts(op, "crossover")]
+
+
+@_split_crossover(CompositeCrossover, _draw_composite_crossover)
+def _batch_composite_crossover(op: CompositeCrossover, A: Array, B: Array,
+                               params: list) -> tuple[Array, Array]:
     """Column-sliced composite: each part's registered twin on its span.
 
     Needs ``op.spans`` (the encoding's ``part_spans``) to know where each
@@ -389,135 +535,143 @@ def _batch_composite_crossover(op: CompositeCrossover, A: np.ndarray,
     twins must preserve their slice's dtype (true for all integer-genome
     operators -- the composite encodings stack to int64 rows).
     """
-    if op.spans is None:
-        raise ValueError(
-            "composite crossover has no part spans; the encoding must "
-            "publish part_spans for the array substrate (or use "
-            "substrate='object')")
     CA, CB = A.copy(), B.copy()
-    col = 0
-    for part_op, width in zip(op.parts, op.spans):
-        lo, hi = col, col + width
-        if part_op is not None and width > 0:
-            ca, cb = _lookup(_BATCH_CROSSOVERS, part_op, "crossover")(
-                part_op, A[:, lo:hi], B[:, lo:hi], rng)
-            CA[:, lo:hi] = ca
-            CB[:, lo:hi] = cb
-        col = hi
+    for (part, cols), part_params in zip(_live_parts(op, "crossover"),
+                                         params):
+        CA[:, cols], CB[:, cols] = split_crossover_for(part).kernel(
+            part, A[:, cols], B[:, cols], part_params)
     return CA, CB
-
-
-@register_batch_crossover(ArithmeticCrossover)
-def _batch_arithmetic(op: ArithmeticCrossover, A: np.ndarray, B: np.ndarray,
-                      rng: np.random.Generator
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    xp = _xp()
-    A = xp.asarray(A, dtype=xp.float64)
-    B = xp.asarray(B, dtype=xp.float64)
-    if op.fixed_weight is not None:
-        w = op.fixed_weight
-    else:
-        w = rng.random((A.shape[0], 1))
-    return w * A + (1 - w) * B, (1 - w) * A + w * B
 
 
 # -- batch mutations -------------------------------------------------------------
 
 def register_batch_mutation(scalar_cls: type):
-    """Register ``fn(op, X, rng) -> X'`` as the batch twin."""
+    """Register ``fn(op, X, rng) -> X'`` as the batch twin.
+
+    Like a one-shot crossover twin, it is called once per island.
+    """
     def deco(fn):
         _BATCH_MUTATIONS[scalar_cls] = fn
         return fn
     return deco
 
 
-@register_batch_mutation(SwapMutation)
-def _batch_swap(op: SwapMutation, X: np.ndarray,
-                rng: np.random.Generator) -> np.ndarray:
-    xp = _xp()
+def _split_mutation(scalar_cls: type, draw: Callable):
+    """Register the decorated ``kernel(op, X, params)`` with ``draw``."""
+    def deco(kernel):
+        _BATCH_MUTATIONS[scalar_cls] = SplitTwin(draw, kernel)
+        return kernel
+    return deco
+
+
+def _draw_swap(op: SwapMutation, X: Array, rng: Generator):
+    """One ``(i, j)`` position pair per row for each of ``op.pairs`` swaps."""
     m, n = X.shape
-    out = X.copy()
     if n < 2:
+        return None
+    return tuple(_sorted_distinct_pairs(n, m, rng) for _ in range(op.pairs))
+
+
+@_split_mutation(SwapMutation, _draw_swap)
+def _batch_swap(op: SwapMutation, X: Array, pairs) -> Array:
+    xp = _xp()
+    out = X.copy()
+    if pairs is None:
         return out
-    rows = xp.arange(m, dtype=xp.int64)
-    for _ in range(op.pairs):
-        i, j = _sorted_distinct_pairs(n, m, rng)
+    rows = xp.arange(X.shape[0], dtype=xp.int64)
+    for i, j in pairs:
         vi = out[rows, i].copy()
         out[rows, i] = out[rows, j]
         out[rows, j] = vi
     return out
 
 
-@register_batch_mutation(ShiftMutation)
-def _batch_shift(op: ShiftMutation, X: np.ndarray,
-                 rng: np.random.Generator) -> np.ndarray:
+def _draw_shift(op: ShiftMutation, X: Array, rng: Generator):
     m, n = X.shape
     if n < 2:
-        return X.copy()
+        return None
     src = rng.integers(0, n, size=m)
-    dst = rng.integers(0, n - 1, size=m)
-    return shift_kernel(X, src, dst)
+    return src, rng.integers(0, n - 1, size=m)
 
 
-@register_batch_mutation(InversionMutation)
-def _batch_inversion(op: InversionMutation, X: np.ndarray,
-                     rng: np.random.Generator) -> np.ndarray:
+@_split_mutation(ShiftMutation, _draw_shift)
+def _batch_shift(op: ShiftMutation, X: Array, params) -> Array:
+    return X.copy() if params is None else shift_kernel(X, *params)
+
+
+def _draw_inversion(op: InversionMutation, X: Array, rng: Generator):
     m, n = X.shape
-    if n < 2:
-        return X.copy()
-    lo, hi = _sorted_distinct_pairs(n, m, rng)
-    return inversion_kernel(X, lo, hi)
+    return None if n < 2 else _sorted_distinct_pairs(n, m, rng)
 
 
-@register_batch_mutation(AssignmentMutation)
-def _batch_assignment(op: AssignmentMutation, X: np.ndarray,
-                      rng: np.random.Generator) -> np.ndarray:
-    """Row-wise assignment reset: mutated genes redraw in their domain.
+@_split_mutation(InversionMutation, _draw_inversion)
+def _batch_inversion(op: InversionMutation, X: Array, params) -> Array:
+    return X.copy() if params is None else inversion_kernel(X, *params)
+
+
+def _draw_assignment(op: AssignmentMutation, X: Array,
+                     rng: Generator) -> tuple[Array, Array]:
+    """Mutated-gene mask plus the redrawn values in row-major mask order.
 
     Gene ``j`` belongs to domain ``domain_sizes[j % len(domain_sizes)]``,
     the same modulo the scalar operator applies; the redraw itself is
     vectorised (distribution-equivalent, like every batch mutation).
     """
-    out = X.copy()
-    mask = rng.random(out.shape) < op.rate
-    if mask.any():
-        # domain table is host-side operator state, like op.domain_sizes
-        sizes = np.maximum(np.asarray(op.domain_sizes, dtype=np.int64), 1)
-        hi = sizes[np.arange(out.shape[1]) % sizes.size]
-        out[mask] = rng.integers(0, np.broadcast_to(hi, out.shape)[mask])
-    return out
-
-
-@register_batch_mutation(CompositeMutation)
-def _batch_composite_mutation(op: CompositeMutation, X: np.ndarray,
-                              rng: np.random.Generator) -> np.ndarray:
-    """Column-sliced composite: each part's registered twin on its span."""
-    if op.spans is None:
-        raise ValueError(
-            "composite mutation has no part spans; the encoding must "
-            "publish part_spans for the array substrate (or use "
-            "substrate='object')")
-    out = X.copy()
-    col = 0
-    for part_op, width in zip(op.parts, op.spans):
-        lo, hi = col, col + width
-        if part_op is not None and width > 0:
-            out[:, lo:hi] = _lookup(_BATCH_MUTATIONS, part_op, "mutation")(
-                part_op, X[:, lo:hi], rng)
-        col = hi
-    return out
-
-
-@register_batch_mutation(GaussianKeyMutation)
-def _batch_gaussian(op: GaussianKeyMutation, X: np.ndarray,
-                    rng: np.random.Generator) -> np.ndarray:
     xp = _xp()
-    out = xp.asarray(X, dtype=xp.float64).copy()
-    mask = rng.random(out.shape) < op.rate
+    mask = rng.random(X.shape) < op.rate
+    if not mask.any():
+        return mask, xp.empty(0, dtype=xp.int64)
+    # domain table is host-side operator state, like op.domain_sizes
+    sizes = np.maximum(np.asarray(op.domain_sizes, dtype=np.int64), 1)
+    hi = sizes[np.arange(X.shape[1]) % sizes.size]
+    return mask, rng.integers(0, np.broadcast_to(hi, X.shape)[mask])
+
+
+@_split_mutation(AssignmentMutation, _draw_assignment)
+def _batch_assignment(op: AssignmentMutation, X: Array, params) -> Array:
+    """Row-wise assignment reset: mutated genes take their redrawn values."""
+    mask, values = params
+    out = X.copy()
+    if values.size:
+        out[mask] = values
+    return out
+
+
+def _draw_gaussian(op: GaussianKeyMutation, X: Array,
+                   rng: Generator) -> tuple[Array, Array]:
+    xp = _xp()
+    mask = rng.random(X.shape) < op.rate
     hits = int(mask.sum())
-    if hits:
-        out[mask] = xp.clip(out[mask] + rng.normal(0, op.sigma, hits),
-                            0.0, 1.0 - 1e-12)
+    noise = (rng.normal(0, op.sigma, hits) if hits
+             else xp.empty(0, dtype=xp.float64))
+    return mask, noise
+
+
+@_split_mutation(GaussianKeyMutation, _draw_gaussian)
+def _batch_gaussian(op: GaussianKeyMutation, X: Array, params) -> Array:
+    xp = _xp()
+    mask, noise = params
+    out = xp.asarray(X, dtype=xp.float64).copy()
+    if noise.size:
+        out[mask] = xp.clip(out[mask] + noise, 0.0, 1.0 - 1e-12)
+    return out
+
+
+def _draw_composite_mutation(op: CompositeMutation, X: Array,
+                             rng: Generator) -> list:
+    return [split_mutation_for(part).draw(part, X[:, cols], rng)
+            for part, cols in _live_parts(op, "mutation")]
+
+
+@_split_mutation(CompositeMutation, _draw_composite_mutation)
+def _batch_composite_mutation(op: CompositeMutation, X: Array,
+                              params: list) -> Array:
+    """Column-sliced composite: each part's registered twin on its span."""
+    out = X.copy()
+    for (part, cols), part_params in zip(_live_parts(op, "mutation"),
+                                         params):
+        out[:, cols] = split_mutation_for(part).kernel(part, X[:, cols],
+                                                       part_params)
     return out
 
 
@@ -619,16 +773,26 @@ def batch_selection_for(op: Selection) -> Callable:
                                                   k, rng)
 
 
+def split_crossover_for(op: Crossover) -> SplitTwin:
+    """Draw and kernel halves of scalar ``op``'s batch crossover twin."""
+    return _as_split(_lookup(_BATCH_CROSSOVERS, op, "crossover"))
+
+
+def split_mutation_for(op: Mutation) -> SplitTwin:
+    """Draw and kernel halves of scalar ``op``'s batch mutation twin."""
+    return _as_split(_lookup(_BATCH_MUTATIONS, op, "mutation"))
+
+
 def batch_crossover_for(op: Crossover) -> Callable:
-    """``(A, B, rng) -> (CA, CB)`` twin of scalar ``op``."""
-    fn = _lookup(_BATCH_CROSSOVERS, op, "crossover")
-    return lambda A, B, rng: fn(op, A, B, rng)
+    """``(A, B, rng) -> (CA, CB)`` twin of scalar ``op``: draw, then kernel."""
+    twin = split_crossover_for(op)
+    return lambda A, B, rng: twin.kernel(op, A, B, twin.draw(op, A, B, rng))
 
 
 def batch_mutation_for(op: Mutation) -> Callable:
-    """``(X, rng) -> X'`` twin of scalar ``op``."""
-    fn = _lookup(_BATCH_MUTATIONS, op, "mutation")
-    return lambda X, rng: fn(op, X, rng)
+    """``(X, rng) -> X'`` twin of scalar ``op``: draw, then kernel."""
+    twin = split_mutation_for(op)
+    return lambda X, rng: twin.kernel(op, X, twin.draw(op, X, rng))
 
 
 def supported_batch_operators() -> dict[str, list[str]]:

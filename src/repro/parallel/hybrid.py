@@ -33,7 +33,7 @@ from ..core.rng import spawn_rngs
 from ..core.termination import MaxGenerations, Termination, TerminationState
 from ..encodings.base import Problem
 from .fine_grained import CellularGA
-from .island import IslandGA, IslandGAResult
+from .island import IslandGA, IslandGAResult, epoch_length
 from .migration import MigrationPolicy, integrate_immigrants, select_emigrants
 from .topology import RingTopology, Topology, TorusTopology
 
@@ -174,10 +174,12 @@ class IslandOfCellularGA:
         self._sync()
         epoch = 0
         while not self.termination.done(self.state):
-            for _ in range(self.migration.interval):
+            gens = epoch_length(self.termination, self.state,
+                                self.migration.interval)
+            for _ in range(gens):
                 for isl in self.islands:
                     isl.step()
-            self.state.generation += self.migration.interval
+            self.state.generation += gens
             epoch += 1
             self._migrate(epoch)
             self._sync()
@@ -251,7 +253,8 @@ class TwoLevelIslandGA:
         epoch = 0
         last_broadcast = 0
         while not inner.termination.done(inner.state):
-            gens = inner.migration.interval
+            gens = epoch_length(inner.termination, inner.state,
+                                inner.migration.interval)
             inner._advance_serial(gens)
             inner.state.generation += gens
             epoch += 1

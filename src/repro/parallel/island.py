@@ -35,16 +35,20 @@ Features mapped to surveyed papers:
 
 Each island evaluates its sub-population through the vectorised batch path
 (:meth:`repro.encodings.base.Problem.batch_evaluator`) whenever the
-encoding ships a batch decoder -- the per-generation offspring of every
-island is decoded as one chromosome matrix, exactly the sub-population
-array decoding of the dual heterogeneous island GA (Luo & El Baz, 2019).
+encoding ships a batch decoder.
 
 With ``GAConfig.substrate="array"`` the islands evolve on the array
 substrate (:mod:`repro.core.substrate`); the serial engine then binds all
-island populations as slices of one ``(n_islands, pop, n_genes)`` tensor
-and migration becomes pure row slice assignment
-(:func:`repro.parallel.migration.integrate_immigrant_rows`) -- no
-``Individual`` boxing anywhere in the generation loop.
+island populations as slices of one ``(n_islands, pop, n_genes)`` tensor,
+steps the islands in lockstep and makes migration pure row slice
+assignment (:func:`repro.parallel.migration.integrate_immigrant_rows`) --
+no ``Individual`` boxing anywhere in the generation loop.  Each island
+makes its own draws on its own RNG, then all islands' offspring are
+varied by one kernel call per operator and decoded as one matrix per
+generation, exactly the sub-population array decoding of the dual
+heterogeneous island GA (Luo & El Baz, 2019); results equal stepping
+every island alone.  Process-parallel islands, islands of unequal size
+and the object substrate step each island on its own.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from ..core.backend import active_namespace as _xp
-from ..core.ga import GAConfig, SimpleGA
+from ..core.ga import GAConfig, SimpleGA, lockstep
 from ..core.individual import Individual
 from ..core.observers import HistoryRecorder
 from ..core.population import Population
@@ -69,7 +73,8 @@ from .migration import (MigrationPolicy, integrate_immigrant_rows,
                         select_emigrants)
 from .topology import RingTopology, Topology
 
-__all__ = ["IslandGA", "IslandGAResult", "default_island_population"]
+__all__ = ["IslandGA", "IslandGAResult", "default_island_population",
+           "epoch_length"]
 
 
 def default_island_population(total_population: int, n_islands: int) -> int:
@@ -104,6 +109,18 @@ class IslandGAResult:
     @property
     def best_objective(self) -> float:
         return float(self.best.objective)
+
+
+def epoch_length(termination: Termination, state: TerminationState,
+                 interval: int) -> int:
+    """Generations to run before the next migration.
+
+    A whole migration interval, clamped so a generation limit is never
+    overrun; at least one generation.
+    """
+    if isinstance(termination, MaxGenerations):
+        return max(1, min(interval, termination.limit - state.generation))
+    return interval
 
 
 def _advance_island(payload: bytes) -> bytes:
@@ -183,6 +200,10 @@ class IslandGA:
             configs = list(config)
             if len(configs) != n_islands:
                 raise ValueError("need one config per island")
+        # resolve each distinct config once: islands sharing a config then
+        # share its operator objects, which lockstep varies in one call
+        resolved = {id(cfg): cfg.resolved(problem) for cfg in configs}
+        configs = [resolved[id(cfg)] for cfg in configs]
         substrates = {cfg.substrate for cfg in configs}
         if len(substrates) > 1:
             raise ValueError("all islands must share one substrate, got "
@@ -277,6 +298,18 @@ class IslandGA:
 
     # -- evolution ---------------------------------------------------------------
     def _advance_serial(self, gens: int) -> None:
+        """Advance the active islands ``gens`` generations in this process.
+
+        With the island tensor bound, all islands step in lockstep: one
+        variation kernel call per operator and one decode per generation
+        (:func:`~repro.core.ga.lockstep`).  Otherwise each island steps
+        on its own.
+        """
+        if self._tensor is not None:
+            family = [self.islands[i] for i in self._active]
+            for _ in range(gens):
+                lockstep(family)
+            return
         for i in self._active:
             isl = self.islands[i]
             for _ in range(gens):
@@ -386,9 +419,8 @@ class IslandGA:
         self.initialize()
         epoch = 0
         while not self.termination.done(self.state):
-            gens = min(self.migration.interval, self._remaining_gens())
-            if gens <= 0:
-                gens = 1
+            gens = epoch_length(self.termination, self.state,
+                                self.migration.interval)
             if self.parallel == "process" and len(self._active) > 1:
                 self._advance_process(gens)
             else:
@@ -416,9 +448,3 @@ class IslandGA:
                    "substrate": self.substrate,
                    "tensor_mode": self._tensor is not None},
         )
-
-    def _remaining_gens(self) -> int:
-        limit = getattr(self.termination, "limit", None)
-        if isinstance(self.termination, MaxGenerations):
-            return self.termination.limit - self.state.generation
-        return self.migration.interval

@@ -27,7 +27,9 @@ from repro.encodings import (FlowShopPermutationEncoding,
                              OperationBasedEncoding, Problem,
                              RandomKeysFlowShopEncoding)
 from repro.instances import flow_shop, get_instance
-from repro.operators import (ArithmeticCrossover, ElitistRouletteSelection,
+from repro.operators import (ArithmeticCrossover, AssignmentMutation,
+                             CompositeCrossover, CompositeMutation,
+                             ElitistRouletteSelection,
                              GaussianKeyMutation, InversionMutation,
                              JobBasedCrossover, NPointCrossover,
                              OrderCrossover, ParameterizedUniformCrossover,
@@ -42,7 +44,8 @@ from repro.operators.batch import (batch_repair_to_multiset,
                                    inversion_kernel, jox_kernel,
                                    npoint_kernel, ox_kernel, pmx_kernel,
                                    row_bincount, row_occurrence,
-                                   shift_kernel)
+                                   shift_kernel, split_crossover_for,
+                                   split_mutation_for, stack_params)
 
 
 def perm_population(m, n, seed=0):
@@ -61,6 +64,22 @@ def same_multiset_rows(A, B):
         if not np.array_equal(np.sort(a), np.sort(b)):
             return False
     return True
+
+
+def ox_by_occurrence(A, B, lo, hi):
+    """OX children with the occurrence count taken on every row."""
+    m, n = A.shape
+    n_values = int(max(A.max(), B.max())) + 1
+    rows, pos = np.arange(m)[:, None], np.arange(n)
+    seg = (pos >= lo[:, None]) & (pos < hi[:, None])
+    need = row_bincount(A, n_values) - row_bincount(A, n_values, mask=seg)
+    rot = (hi[:, None] + pos) % n
+    B_rot = np.take_along_axis(B, rot, axis=1)
+    take = row_occurrence(B_rot, n_values) < need[rows, B_rot]
+    fill = pos < (n - (hi - lo))[:, None]
+    child = A.copy()
+    child[np.nonzero(fill)[0], rot[fill]] = B_rot[take]
+    return child
 
 
 # -- layer 1: kernels vs scalar operator internals -------------------------------
@@ -90,6 +109,28 @@ class TestKernelEquality:
         lo, hi = lo_hi[:, 0], lo_hi[:, 1] + 1
         batch = ox_kernel(A, B, lo, hi)
         for k in range(16):
+            scalar = OrderCrossover._ox_child(A[k], B[k], int(lo[k]),
+                                              int(hi[k]))
+            assert np.array_equal(batch[k], scalar)
+
+    @pytest.mark.parametrize("rows", ["permutation", "multiset", "mixed"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_ox_fill_matches_occurrence_formula_and_scalar(self, rows, seed):
+        """The sort-free fill for permutation rows changes no child."""
+        rng = np.random.default_rng(seed)
+        perm = [perm_population(10, 12, seed=seed + k) for k in (0, 1)]
+        rep = [repetition_population(10, 4, 3, seed=seed + k)
+               for k in (2, 3)]
+        pick = {"permutation": perm, "multiset": rep,
+                "mixed": [np.concatenate([p, r]) for p, r in zip(perm, rep)]}
+        A, B = pick[rows]
+        m, n = A.shape
+        lo_hi = np.sort(np.stack(
+            [rng.choice(n, size=2, replace=False) for _ in range(m)]), axis=1)
+        lo, hi = lo_hi[:, 0], lo_hi[:, 1] + 1
+        batch = ox_kernel(A, B, lo, hi)
+        assert np.array_equal(batch, ox_by_occurrence(A, B, lo, hi))
+        for k in range(m):
             scalar = OrderCrossover._ox_child(A[k], B[k], int(lo[k]),
                                               int(hi[k]))
             assert np.array_equal(batch[k], scalar)
@@ -169,6 +210,315 @@ class TestKernelEquality:
             scalar = X[k].copy()
             scalar[lo[k]:hi[k] + 1] = scalar[lo[k]:hi[k] + 1][::-1]
             assert np.array_equal(batch[k], scalar)
+
+
+# -- layer 1b: draw/kernel split of the batch twins -------------------------------
+#
+# ``old_*`` below are the one-shot twins as they were before the split
+# (draws interleaved with kernel calls); the split twins must reproduce
+# them and leave the RNG in the same state.
+
+def draw_pairs(n, m, rng):
+    i = rng.integers(0, n, size=m)
+    j = rng.integers(0, n - 1, size=m)
+    j = j + (j >= i)
+    return np.minimum(i, j), np.maximum(i, j)
+
+
+def old_segment(kernel):
+    def run(op, A, B, rng):
+        lo, hi = draw_pairs(A.shape[1], A.shape[0], rng)
+        return kernel(A, B, lo, hi + 1), kernel(B, A, lo, hi + 1)
+    return run
+
+
+def old_repair(A, B, CA, CB):
+    counts = row_bincount(A, int(max(A.max(), B.max())) + 1)
+    return (batch_repair_to_multiset(CA, counts, B),
+            batch_repair_to_multiset(CB, counts, A))
+
+
+def old_jox(op, A, B, rng):
+    keep = rng.random((A.shape[0], int(max(A.max(), B.max())) + 1)) < 0.5
+    return jox_kernel(A, B, keep), jox_kernel(B, A, keep)
+
+
+def old_npoint(op, A, B, rng):
+    m, n = A.shape
+    k = min(op.points, n - 1)
+    if k == n - 1:
+        cuts = np.tile(np.arange(1, n), (m, 1))
+    else:
+        keys = rng.random((m, n - 1))
+        cuts = np.sort(np.argpartition(keys, k - 1, axis=1)[:, :k],
+                       axis=1) + 1
+    return old_repair(A, B, *npoint_kernel(A, B, cuts))
+
+
+def old_uniform(op, A, B, rng):
+    mask = rng.random(A.shape) < op.swap_prob
+    CA, CB = np.where(mask, B, A), np.where(mask, A, B)
+    return old_repair(A, B, CA, CB) if op.repair else (CA, CB)
+
+
+def old_param_uniform(op, A, B, rng):
+    take_a = rng.random(A.shape) < op.bias
+    return np.where(take_a, A, B), np.where(take_a, B, A)
+
+
+def old_arithmetic(op, A, B, rng):
+    w = (op.fixed_weight if op.fixed_weight is not None
+         else rng.random((A.shape[0], 1)))
+    return w * A + (1 - w) * B, (1 - w) * A + w * B
+
+
+def old_composite_crossover(op, A, B, rng):
+    CA, CB = A.copy(), B.copy()
+    col = 0
+    for part, width, old in zip(op.parts, op.spans, op.old_parts):
+        cols = slice(col, col + width)
+        CA[:, cols], CB[:, cols] = old(part, A[:, cols], B[:, cols], rng)
+        col += width
+    return CA, CB
+
+
+def old_swap(op, X, rng):
+    out = X.copy()
+    rows = np.arange(X.shape[0])
+    for _ in range(op.pairs):
+        i, j = draw_pairs(X.shape[1], X.shape[0], rng)
+        out[rows, i], out[rows, j] = out[rows, j], out[rows, i].copy()
+    return out
+
+
+def old_shift(op, X, rng):
+    m, n = X.shape
+    src = rng.integers(0, n, size=m)
+    return shift_kernel(X, src, rng.integers(0, n - 1, size=m))
+
+
+def old_inversion(op, X, rng):
+    return inversion_kernel(X, *draw_pairs(X.shape[1], X.shape[0], rng))
+
+
+def old_assignment(op, X, rng):
+    out = X.copy()
+    mask = rng.random(X.shape) < op.rate
+    if mask.any():
+        sizes = np.maximum(np.asarray(op.domain_sizes), 1)
+        hi = sizes[np.arange(X.shape[1]) % sizes.size]
+        out[mask] = rng.integers(0, np.broadcast_to(hi, X.shape)[mask])
+    return out
+
+
+def old_gaussian(op, X, rng):
+    out = X.astype(np.float64)
+    mask = rng.random(X.shape) < op.rate
+    hits = int(mask.sum())
+    if hits:
+        out[mask] = np.clip(out[mask] + rng.normal(0, op.sigma, hits),
+                            0.0, 1.0 - 1e-12)
+    return out
+
+
+def old_composite_mutation(op, X, rng):
+    out = X.copy()
+    col = 0
+    for part, width, old in zip(op.parts, op.spans, op.old_parts):
+        out[:, col:col + width] = old(part, X[:, col:col + width], rng)
+        col += width
+    return out
+
+
+def composite(cls, parts, spans, olds):
+    op = cls(parts, spans=spans)
+    op.old_parts = olds  # reference-only attribute, read by the old_* twins
+    return op
+
+
+def perm_rows(m, seed):
+    return perm_population(m, 10, seed=seed)
+
+
+def rep_rows(m, seed):
+    return repetition_population(m, 4, 3, seed=seed)
+
+
+def real_rows(m, seed):
+    return np.random.default_rng(seed).random((m, 9))
+
+
+def mixed_rows(m, seed):
+    """Permutation part (10 columns) + assignment part (6 columns)."""
+    rng = np.random.default_rng(seed)
+    return np.concatenate([perm_population(m, 10, seed=seed),
+                           rng.integers(0, 3, size=(m, 6))], axis=1)
+
+
+SPLIT_CROSSOVERS = [
+    (OrderCrossover(), perm_rows, old_segment(ox_kernel)),
+    (OrderCrossover(), rep_rows, old_segment(ox_kernel)),
+    (PMXCrossover(), perm_rows, old_segment(pmx_kernel)),
+    (JobBasedCrossover(), rep_rows, old_jox),
+    (NPointCrossover(points=2), rep_rows, old_npoint),
+    (NPointCrossover(points=40), perm_rows, old_npoint),
+    (UniformCrossover(), rep_rows, old_uniform),
+    (UniformCrossover(repair=False), real_rows, old_uniform),
+    (ParameterizedUniformCrossover(bias=0.7), real_rows, old_param_uniform),
+    (ArithmeticCrossover(), real_rows, old_arithmetic),
+    (ArithmeticCrossover(0.25), real_rows, old_arithmetic),
+    (composite(CompositeCrossover, [OrderCrossover(),
+                                    UniformCrossover(repair=False)],
+               (10, 6), [old_segment(ox_kernel), old_uniform]),
+     mixed_rows, old_composite_crossover),
+]
+SPLIT_MUTATIONS = [
+    (SwapMutation(), rep_rows, old_swap),
+    (SwapMutation(pairs=3), perm_rows, old_swap),
+    (ShiftMutation(), perm_rows, old_shift),
+    (InversionMutation(), rep_rows, old_inversion),
+    (AssignmentMutation(np.array([3, 4, 5]), rate=0.3), rep_rows,
+     old_assignment),
+    (AssignmentMutation(np.array([3]), rate=0.0), rep_rows, old_assignment),
+    (GaussianKeyMutation(sigma=0.1, rate=0.5), real_rows, old_gaussian),
+    (composite(CompositeMutation, [SwapMutation(),
+                                   AssignmentMutation(np.array([3]), 0.4)],
+               (10, 6), [old_swap, old_assignment]),
+     mixed_rows, old_composite_mutation),
+]
+
+
+def case_id(case):
+    return f"{type(case[0]).__name__}-{case[1].__name__}"
+
+
+def assert_same(got, expect):
+    if isinstance(expect, tuple):
+        for g, e in zip(got, expect):
+            assert np.array_equal(g, e)
+    else:
+        assert np.array_equal(got, expect)
+
+
+class TestDrawKernelSplit:
+    @pytest.mark.parametrize("case", SPLIT_CROSSOVERS, ids=case_id)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_crossover_kernel_of_draw_is_the_old_one_shot(self, case, seed):
+        op, rows, old = case
+        A, B = rows(13, seed), rows(13, seed + 50)
+        twin = split_crossover_for(op)
+        rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
+        got = twin.kernel(op, A, B, twin.draw(op, A, B, rng))
+        assert_same(got, old(op, A, B, ref_rng))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert_same(batch_crossover_for(op)(A, B,
+                                            np.random.default_rng(seed)),
+                    got)
+
+    @pytest.mark.parametrize("case", SPLIT_MUTATIONS, ids=case_id)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_mutation_kernel_of_draw_is_the_old_one_shot(self, case, seed):
+        op, rows, old = case
+        X = rows(13, seed)
+        twin = split_mutation_for(op)
+        rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
+        got = twin.kernel(op, X, twin.draw(op, X, rng))
+        assert_same(got, old(op, X, ref_rng))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert_same(batch_mutation_for(op)(X, np.random.default_rng(seed)),
+                    got)
+
+    @pytest.mark.parametrize("case", SPLIT_CROSSOVERS, ids=case_id)
+    def test_stacked_crossover_params_equal_separate_calls(self, case):
+        op, rows, _ = case
+        twin = split_crossover_for(op)
+        rng = np.random.default_rng(8)
+        blocks = [(rows(7, 1), rows(7, 2)), (rows(5, 3), rows(5, 4))]
+        params = [twin.draw(op, A, B, rng) for A, B in blocks]
+        alone = [twin.kernel(op, A, B, p) for (A, B), p in zip(blocks, params)]
+        fused = twin.kernel(op, np.concatenate([A for A, _ in blocks]),
+                            np.concatenate([B for _, B in blocks]),
+                            stack_params(params))
+        for k in range(2):
+            assert np.array_equal(fused[k], np.concatenate(
+                [children[k] for children in alone]))
+
+    @pytest.mark.parametrize("case", SPLIT_MUTATIONS, ids=case_id)
+    def test_stacked_mutation_params_equal_separate_calls(self, case):
+        op, rows, _ = case
+        twin = split_mutation_for(op)
+        rng = np.random.default_rng(8)
+        blocks = [rows(7, 1), rows(5, 2)]
+        params = [twin.draw(op, X, rng) for X in blocks]
+        alone = [twin.kernel(op, X, p) for X, p in zip(blocks, params)]
+        fused = twin.kernel(op, np.concatenate(blocks), stack_params(params))
+        assert np.array_equal(fused, np.concatenate(alone))
+
+    def test_jox_masks_of_different_job_counts_pad_with_false(self):
+        """Blocks whose parents hold different job counts draw keep masks
+        of different widths; the stacked mask pads the narrow one."""
+        op = JobBasedCrossover()
+        twin = split_crossover_for(op)
+        rng = np.random.default_rng(2)
+        blocks = [(repetition_population(6, 4, 3, seed=1),
+                   repetition_population(6, 4, 3, seed=2)),
+                  (repetition_population(4, 6, 2, seed=3),
+                   repetition_population(4, 6, 2, seed=4))]
+        params = [twin.draw(op, A, B, rng) for A, B in blocks]
+        assert [p.shape[1] for p in params] == [4, 6]
+        stacked = stack_params(params)
+        assert stacked.shape == (10, 6) and not stacked[:6, 4:].any()
+        fused = twin.kernel(op, np.concatenate([A for A, _ in blocks]),
+                            np.concatenate([B for _, B in blocks]), stacked)
+        alone = [twin.kernel(op, A, B, p) for (A, B), p in zip(blocks, params)]
+        assert np.array_equal(fused[0], np.concatenate([a for a, _ in alone]))
+
+    @pytest.mark.parametrize("op", [OrderCrossover(), PMXCrossover(),
+                                    NPointCrossover()],
+                             ids=lambda o: type(o).__name__)
+    def test_one_gene_rows_cross_to_copies_without_draws(self, op):
+        A, B = np.zeros((4, 1), dtype=np.int64), np.ones((4, 1),
+                                                          dtype=np.int64)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        ca, cb = batch_crossover_for(op)(A, B, rng)
+        assert np.array_equal(ca, A) and np.array_equal(cb, B)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("op", [SwapMutation(), ShiftMutation(),
+                                    InversionMutation()],
+                             ids=lambda o: type(o).__name__)
+    def test_one_gene_rows_mutate_to_copies_without_draws(self, op):
+        X = np.arange(4, dtype=np.int64)[:, None]
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        out = batch_mutation_for(op)(X, rng)
+        assert np.array_equal(out, X) and out is not X
+        assert rng.bit_generator.state == state
+
+    def test_composites_without_spans_are_refused(self):
+        X = mixed_rows(3, 0)
+        with pytest.raises(ValueError, match="no part spans"):
+            batch_crossover_for(CompositeCrossover([OrderCrossover()]))(
+                X, X, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="no part spans"):
+            batch_mutation_for(CompositeMutation([SwapMutation()]))(
+                X, np.random.default_rng(0))
+
+    def test_one_shot_twin_wraps_as_draw_plus_pass_through(self):
+        class Stub:
+            pass
+
+        @register_batch_mutation(Stub)
+        def _batch_stub(op, X, rng):
+            return X + rng.integers(0, 2, size=X.shape)
+
+        X = rep_rows(5, 0)
+        twin = split_mutation_for(Stub())
+        rng, ref_rng = (np.random.default_rng(1) for _ in range(2))
+        params = twin.draw(Stub(), X, rng)
+        assert np.array_equal(twin.kernel(Stub(), X, params),
+                              _batch_stub(Stub(), X, ref_rng))
 
 
 # -- layer 2: closure per batch operator -----------------------------------------
