@@ -1,4 +1,4 @@
-"""Benchmark: array-backend dispatch overhead + transfer accounting.
+"""Benchmark: array-backend dispatch overhead.
 
 Routing every batch kernel through the active Array-API namespace
 (``repro.core.backend``) must be free on the default path: the numpy
@@ -7,12 +7,9 @@ so a ``backend="instrumented"`` solve -- which additionally enforces the
 portable subset on every first attribute touch -- is the worst case the
 indirection can cost.  This benchmark times the same array-substrate
 configuration on the ``numpy`` and ``instrumented`` backends
-interleaved, asserts bit-identity, gates the median per-pair overhead at
-<=5% (env ``BENCH_MAX_BACKEND_OVERHEAD_PCT``), and records the transfer
-counters -- zero ``to_device``/``to_host`` crossings for the whole solve
-is part of the emitted record.  When ``cupy``/``jax`` are installed
-their backends are timed as extra rows (never gated: device timings are
-hardware-dependent).  Emits ``BENCH_backend.json`` next to this file.
+interleaved, asserts bit-identity and gates the median per-pair overhead
+at <=5% (env ``BENCH_MAX_BACKEND_OVERHEAD_PCT``).  Emits
+``BENCH_backend.json`` next to this file.
 
 Run with pytest (prints the table)::
 
@@ -29,7 +26,6 @@ import time
 from pathlib import Path
 
 from repro import SolverSpec, solve
-from repro.core.backend import available_backends, get_backend
 
 POP = 64
 GENERATIONS = 60
@@ -76,17 +72,12 @@ def test_backend_overhead():
     _solve_on("numpy")
     _solve_on("instrumented")
 
-    instrumented = get_backend("instrumented")
-    instrumented.reset_transfers()
     pairs, on_numpy, on_instrumented = timed_pairs(
         lambda: _solve_on("numpy"), lambda: _solve_on("instrumented"))
 
     assert on_instrumented.best_objective == on_numpy.best_objective, \
         "instrumented backend must be bit-identical to numpy"
     assert on_instrumented.evaluations == on_numpy.evaluations
-    transfers = dict(instrumented.transfers)
-    assert transfers["to_device"] == 0 and transfers["to_host"] == 0, \
-        "a generation must never cross the host<->device seam"
 
     t_numpy = min(ta for ta, _ in pairs)
     t_instrumented = min(tb for _, tb in pairs)
@@ -99,21 +90,6 @@ def test_backend_overhead():
     print(f"{'instrumented':>14} {t_instrumented:>18.4f}")
     print(f"backend dispatch overhead (median of per-pair ratios): "
           f"{overhead_pct:+.2f}% (gate: <{MAX_OVERHEAD_PCT:g}%)")
-    print(f"transfers over {REPS} instrumented solves: {transfers} "
-          f"(asnumpy = report boundary only)")
-
-    # optional device backends: timed when installed, never gated
-    device_rows = {}
-    for name in ("cupy", "jax"):
-        if name not in available_backends():
-            continue
-        _solve_on(name)  # warm (kernel compilation, device init)
-        t0 = time.perf_counter()
-        on_device = _solve_on(name)
-        elapsed = time.perf_counter() - t0
-        device_rows[name] = {"wall_s": elapsed,
-                             "best_objective": on_device.best_objective}
-        print(f"{name:>14} {elapsed:>18.4f} (informational)")
 
     OUT_PATH.write_text(json.dumps({
         "instance": "ft06",
@@ -126,8 +102,6 @@ def test_backend_overhead():
         "overhead_pct": overhead_pct,
         "gate_pct": MAX_OVERHEAD_PCT,
         "bit_identical": True,
-        "transfers_per_reps": transfers,
-        "device_backends": device_rows,
     }, indent=2) + "\n")
     print(f"wrote {OUT_PATH.name}")
 

@@ -29,7 +29,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from ..core.backend import BackendUnavailable, get_backend, use_backend
+from ..core.backend import get_backend, use_backend
 from ..core.termination import AnyOf, Termination
 from ..core.ga import GAConfig
 from ..encodings.base import Problem
@@ -207,10 +207,6 @@ def solve(spec: SolverSpec | Mapping[str, Any],
     entry = engine_entry(resolved.engine)
     try:
         backend = get_backend(resolved.backend)
-    except BackendUnavailable as exc:
-        # mirror the cpsat engine: a missing optional dependency degrades
-        # to a clean SpecError naming the package, before any work starts
-        raise SpecError(f"backend: {exc}") from exc
     except ValueError as exc:
         raise SpecError(f"backend: {exc}") from exc
     t_resolved = time.perf_counter()

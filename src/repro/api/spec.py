@@ -144,14 +144,9 @@ class SolverSpec:
     backend:
         array namespace the batch kernels run on (see
         :mod:`repro.core.backend`): ``"numpy"`` (default, bit-identical
-        to the plain NumPy path), ``"instrumented"`` (NumPy wrapped with
-        Array-API-subset enforcement and host<->device transfer counting
-        -- the CI conformance backend), or the optional device backends
-        ``"cupy"`` / ``"jax"`` (import-guarded; a missing package
-        degrades to a clean :class:`SpecError` naming the dependency,
-        mirroring the ``cpsat`` engine).  Device backends require
-        ``substrate="array"`` -- the object substrate boxes per-Individual
-        genomes on the host.
+        to the plain NumPy path) or ``"instrumented"`` (NumPy wrapped with
+        Array-API-subset enforcement, bit-identical results -- the CI
+        conformance backend).
     """
 
     instance: str
@@ -364,14 +359,7 @@ class SolverSpec:
             raise SpecError(
                 f"backend: unknown backend {self.backend!r}"
                 f"{suggest(self.backend, BACKENDS)}; "
-                f"known backends: {sorted(BACKENDS)} (see "
-                f"repro.available_backends() for the installed subset)")
-        if self.backend in ("cupy", "jax") and self.substrate != "array":
-            raise SpecError(
-                f"backend: device backend {self.backend!r} needs "
-                f"substrate='array' (the object substrate boxes "
-                f"per-Individual genomes on the host); got "
-                f"substrate={self.substrate!r}")
+                f"known backends: {sorted(BACKENDS)}")
 
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise SpecError(f"seed: must be an int, got {self.seed!r}")

@@ -56,11 +56,9 @@ def _cmd_list(_args) -> int:
     print("  object: per-Individual operator calls (default, all engines)")
     print(f"  array: matrix-kernel generations "
           f"(engines: {', '.join(array_engines)})")
-    installed = set(available_backends())
     print("\nbackends:")
-    for name in sorted(BACKENDS):
-        status = "installed" if name in installed else "not installed"
-        print(f"  {name}: {status}")
+    for name in available_backends():
+        print(f"  {name}")
     print("\ninstances:")
     for name in available_instances():
         print(f"  {name}")
@@ -334,8 +332,7 @@ def main(argv: list[str] | None = None) -> int:
                               "array (matrix-kernel generations)")
     p_solve.add_argument("--backend", default=None, choices=sorted(BACKENDS),
                          help="array backend for the batch kernels "
-                              "(default: numpy; see `repro list` for the "
-                              "installed subset)")
+                              "(default: numpy)")
     p_solve.add_argument("--population", type=int, default=None,
                          help="total population size (default: 60)")
     p_solve.add_argument("--generations", type=int, default=None,

@@ -2,12 +2,11 @@
 
 The array substrate (:mod:`repro.core.substrate`) made whole generations
 matrix-shaped; this module makes the *namespace* those matrices run on a
-runtime choice, which is the precondition for the device-resident
-evolution of Luo & El Baz's GPU island papers (arXiv:1903.10722,
-arXiv:1903.10741): decode, score, select, cross, mutate and merge all
-execute on one backend, with host transfer only at explicit seams.
+runtime choice, so the batch kernels can be checked for portability
+(Array-API subset only) without changing a single result.  All arrays
+stay host NumPy arrays; nothing crosses a device boundary.
 
-Four backends are registered:
+Two backends are registered:
 
 ``numpy``
     the default.  Its namespace forwards every attribute to NumPy
@@ -16,18 +15,14 @@ Four backends are registered:
     contracts of the substrate conformance suite are preserved by
     construction.
 ``instrumented``
-    always available, used by CI in place of a GPU.  Same NumPy
-    forwarding, but attribute access is restricted to the Array-API
-    subset the kernels are allowed to use (plus the explicit extension
-    helpers below), and every host<->device transfer seam is counted --
-    so tests can assert *zero transfers inside a generation* without any
-    accelerator hardware, and any NumPy-only call sneaking into a kernel
-    fails loudly.
-``cupy`` / ``jax``
-    optional, import-guarded.  When the package is missing they degrade
-    to :class:`BackendUnavailable` with an actionable message, which the
-    declarative layer translates into a ``SpecError`` exactly like the
-    ``cpsat`` engine does for OR-Tools.
+    the CI conformance backend.  Same NumPy forwarding, but attribute
+    access is restricted to the Array-API subset the kernels are allowed
+    to use (plus the explicit extension helpers below), so any
+    NumPy-only call sneaking into a kernel fails loudly while results
+    stay bit-identical to ``numpy``.
+
+:meth:`ArrayBackend.from_namespace` wraps any other Array-API namespace
+(``array-api-strict`` on a dedicated CI leg) for the same purpose.
 
 Kernels obtain the namespace via :func:`active_namespace` (a context
 variable defaulting to the numpy backend); :func:`use_backend` scopes a
@@ -35,18 +30,17 @@ backend to a ``with`` block and is the single seam the solve facade
 wraps engine runs in.
 
 **Extensions.**  The Array-API standard has no stable-sort spelling, no
-``bincount``, no scatter-add and no ``put_along_axis``; the namespaces
-therefore carry a small set of explicit helpers (``stable_argsort``,
-``take_along_axis``, ``put_along_axis``, ``scatter_add``, ``bincount``,
-``maximum_accumulate``, ``partition``) that each backend implements with
-its native primitives.  Kernels must use these helpers instead of the
-NumPy-only spellings -- the instrumented backend enforces it.
+``bincount``, no scatter-add and no ``put_along_axis``; the kernels
+therefore call a small set of explicit helpers (``stable_argsort``,
+``put_along_axis``, ``scatter_add``, ``bincount``,
+``maximum_accumulate``, ``partition``, ``argpartition``, ``copy``)
+instead of the NumPy-only spellings -- the instrumented backend enforces
+it.
 """
 
 from __future__ import annotations
 
 import contextvars
-import importlib.util
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator
 
@@ -54,41 +48,21 @@ import numpy as np
 
 __all__ = [
     "BACKENDS", "available_backends",
-    "ArrayBackend", "ArrayRNG",
-    "BackendUnavailable", "BackendPortabilityError",
+    "ArrayBackend", "BackendPortabilityError",
     "get_backend", "active_backend", "active_namespace", "use_backend",
     "ARRAY_API_NAMES", "EXTENSION_NAMES", "COMPAT_NAMES",
 ]
 
-#: Registered backend names, in listing order.  ``numpy`` and
-#: ``instrumented`` always resolve; ``cupy``/``jax`` need their package.
-BACKENDS = ("numpy", "instrumented", "cupy", "jax")
-
-
-class BackendUnavailable(RuntimeError):
-    """An optional backend's package is not importable.
-
-    Carries an actionable message (which package, how to install it,
-    what *is* available) so the declarative layer can surface it as a
-    ``SpecError`` verbatim -- the same degradation contract as the
-    ``cpsat`` engine's ``ExactBackendUnavailable``.
-    """
-
-    def __init__(self, backend: str, package: str):
-        super().__init__(
-            f"backend {backend!r} needs the optional {package} package "
-            f"(pip install {package}); backends available here: "
-            f"{', '.join(available_backends())}")
-        self.backend = backend
-        self.package = package
+#: Registered backend names, in listing order.
+BACKENDS = ("numpy", "instrumented")
 
 
 class BackendPortabilityError(AttributeError):
     """A kernel touched a namespace attribute outside the allowed subset.
 
     Raised by the instrumented backend only: the numpy backend forwards
-    everything.  Hitting this means a kernel would break on a real
-    device backend -- use the Array-API spelling or one of the explicit
+    everything.  Hitting this means a kernel depends on a NumPy-only
+    spelling -- use the Array-API spelling or one of the explicit
     extension helpers.
     """
 
@@ -130,20 +104,21 @@ ARRAY_API_NAMES = frozenset({
     "matmul", "tensordot", "vecdot",
 })
 
-#: Explicit portable helpers the namespaces implement themselves (no
-#: Array-API spelling exists): kernels must call these instead of the
-#: NumPy-only ``kind="stable"`` / ``np.add.at`` / ``np.bincount`` /
-#: ``np.put_along_axis`` / ``np.maximum.accumulate`` / ``np.partition``.
+#: Explicit portable helpers (no Array-API spelling exists): kernels must
+#: call these instead of the NumPy-only ``kind="stable"`` / ``np.add.at``
+#: / ``np.maximum.accumulate`` spellings.  ``bincount``,
+#: ``put_along_axis``, ``partition``, ``argpartition`` and ``copy`` are
+#: the NumPy functions themselves, allowed by name.
 EXTENSION_NAMES = frozenset({
     "stable_argsort", "put_along_axis", "scatter_add", "bincount",
     "maximum_accumulate", "partition", "argpartition", "copy",
 })
 
-#: NumPy-family spellings that every targeted namespace (numpy, cupy,
-#: jax.numpy) provides and the kernels may keep: the Array-API renames
+#: NumPy spellings the kernels may keep: the Array-API renames
 #: (``concat``/``cumulative_sum``) only landed in NumPy 2.0 and the CI
-#: still runs a NumPy 1.22 leg, plus in-place/layout helpers the
-#: substrate's stable-buffer contract needs.
+#: still runs a NumPy 1.22 leg (:class:`NamespaceAdapter` maps them back
+#: for strict namespaces), plus in-place/layout helpers the substrate's
+#: stable-buffer contract needs.
 COMPAT_NAMES = frozenset({
     "concatenate", "cumsum", "copyto", "ascontiguousarray", "errstate",
 })
@@ -160,18 +135,16 @@ class NumpyNamespace:
     dict, so after first touch ``xp.foo`` costs one dict hit -- the same
     as the module attribute lookup ``np.foo`` it replaces (the <5%
     dispatch-overhead gate of ``benchmarks/bench_backend.py`` rides on
-    this).  The extension helpers below are the only code of its own.
+    this).  The extension helpers whose NumPy spelling differs are the
+    only code of its own; the others (``bincount``, ``copy``, ...) are
+    NumPy's own functions.
     """
 
-    # -- portable extensions (no Array-API spelling exists) --
+    # -- portable extensions whose NumPy spelling differs --
     @staticmethod
     def stable_argsort(x, axis=-1):
         """``argsort`` with guaranteed-stable ties (NumPy ``kind="stable"``)."""
         return np.argsort(x, axis=axis, kind="stable")
-
-    @staticmethod
-    def put_along_axis(x, indices, values, axis):
-        np.put_along_axis(x, indices, values, axis=axis)
 
     @staticmethod
     def scatter_add(x, indices, values):
@@ -179,26 +152,9 @@ class NumpyNamespace:
         np.add.at(x, indices, values)
 
     @staticmethod
-    def bincount(x, minlength=0):
-        return np.bincount(x, minlength=minlength)
-
-    @staticmethod
     def maximum_accumulate(x):
         """Running maximum along the last axis (NumPy ``maximum.accumulate``)."""
         return np.maximum.accumulate(x)
-
-    @staticmethod
-    def partition(x, kth):
-        return np.partition(x, kth)
-
-    @staticmethod
-    def argpartition(x, kth, axis=-1):
-        return np.argpartition(x, kth, axis=axis)
-
-    @staticmethod
-    def copy(x):
-        """Detached copy (Array-API arrays have no ``.copy()`` method)."""
-        return np.copy(x)
 
     def __getattr__(self, name: str):
         if name.startswith("_"):
@@ -239,12 +195,13 @@ class InstrumentedNamespace(NumpyNamespace):
 
 
 class NamespaceAdapter:
-    """Wrap a foreign Array-API namespace, adding the repro extensions.
+    """Wrap a foreign Array-API namespace (``array-api-strict`` in CI).
 
-    Used for ``array-api-strict`` in CI and as the base for the
-    cupy/jax namespaces: forwards attribute access to the wrapped
-    module and implements the extension helpers in terms of standard
-    operations where the module lacks a native spelling.
+    Forwards attribute access to the wrapped module and implements the
+    extension helpers that have a standard-operation fallback where the
+    module lacks the NumPy spelling.  Helpers without one (e.g.
+    ``scatter_add``) simply forward, so a module lacking them raises
+    ``AttributeError`` like any other missing name.
     """
 
     def __init__(self, xp: Any):
@@ -256,44 +213,6 @@ class NamespaceAdapter:
             return xp.argsort(x, axis=axis, stable=True)  # Array-API spelling
         except TypeError:
             return xp.argsort(x, axis=axis, kind="stable")
-
-    def take_along_axis(self, x, indices, axis):
-        fn = getattr(self._wrapped, "take_along_axis", None)
-        if fn is not None:
-            return fn(x, indices, axis=axis)
-        raise BackendPortabilityError(
-            f"{self._wrapped.__name__} provides no take_along_axis")
-
-    def put_along_axis(self, x, indices, values, axis):
-        fn = getattr(self._wrapped, "put_along_axis", None)
-        if fn is None:
-            raise BackendPortabilityError(
-                f"{self._wrapped.__name__} provides no put_along_axis")
-        fn(x, indices, values, axis=axis)
-
-    def scatter_add(self, x, indices, values):
-        add = getattr(self._wrapped, "add", None)
-        at = getattr(add, "at", None)
-        if at is None:
-            raise BackendPortabilityError(
-                f"{self._wrapped.__name__} provides no unbuffered "
-                f"scatter-add")
-        at(x, indices, values)
-
-    def bincount(self, x, minlength=0):
-        fn = getattr(self._wrapped, "bincount", None)
-        if fn is not None:
-            return fn(x, minlength=minlength)
-        raise BackendPortabilityError(
-            f"{self._wrapped.__name__} provides no bincount")
-
-    def maximum_accumulate(self, x):
-        maximum = getattr(self._wrapped, "maximum", None)
-        accumulate = getattr(maximum, "accumulate", None)
-        if accumulate is not None:
-            return accumulate(x)
-        raise BackendPortabilityError(
-            f"{self._wrapped.__name__} provides no maximum.accumulate")
 
     def partition(self, x, kth):
         fn = getattr(self._wrapped, "partition", None)
@@ -333,193 +252,49 @@ class NamespaceAdapter:
         return value
 
 
-# -- RNG adapter ------------------------------------------------------------------
-
-class ArrayRNG:
-    """Adapter pinning ``np.random.Generator`` draw semantics.
-
-    Wraps a host :class:`numpy.random.Generator` and forwards each draw
-    method 1:1, so its streams are bit-identical to the wrapped
-    generator's (property-tested with hypothesis in
-    ``tests/test_backend.py``).  Device backends substitute a subclass
-    that draws on-device where the distribution allows and falls back to
-    host draws + :meth:`ArrayBackend.to_device` where it does not --
-    keeping the *semantics* (and therefore the conformance contracts)
-    identical across backends.
-    """
-
-    __slots__ = ("_generator",)
-
-    def __init__(self, generator: np.random.Generator):
-        self._generator = generator
-
-    @property
-    def bit_generator(self):
-        return self._generator.bit_generator
-
-    def random(self, size=None):
-        return self._generator.random(size)
-
-    def integers(self, low, high=None, size=None):
-        return self._generator.integers(low, high, size=size)
-
-    def uniform(self, low=0.0, high=1.0, size=None):
-        return self._generator.uniform(low, high, size=size)
-
-    def normal(self, loc=0.0, scale=1.0, size=None):
-        return self._generator.normal(loc, scale, size=size)
-
-    def choice(self, a, size=None, replace=True, p=None):
-        return self._generator.choice(a, size=size, replace=replace, p=p)
-
-    def permutation(self, x):
-        return self._generator.permutation(x)
-
-    def shuffle(self, x) -> None:
-        self._generator.shuffle(x)
-
-    def spawn(self, n_children: int) -> list["ArrayRNG"]:
-        return [type(self)(g) for g in self._generator.spawn(n_children)]
-
-
 # -- backend object ---------------------------------------------------------------
 
-def _identity(x):
-    return x
-
-
 class ArrayBackend:
-    """One array execution target: namespace + RNG factory + transfer seams.
+    """One array execution target: a name plus its ``xp`` namespace."""
 
-    ``to_device``/``to_host``/``asnumpy`` are the *only* sanctioned
-    host<->device crossing points; each call increments
-    :attr:`transfers`, which the instrumented backend's tests use to
-    prove kernels stay device-resident for an entire generation.  On the
-    numpy-family backends the conversions are identity (plus
-    ``np.asarray`` for :meth:`asnumpy`), so counting is the whole cost.
-    """
-
-    def __init__(self, name: str, xp: Any,
-                 rng_factory: Callable[..., Any] | None = None,
-                 asnumpy: Callable[[Any], np.ndarray] | None = None,
-                 to_device: Callable[[Any], Any] | None = None,
-                 to_host: Callable[[Any], Any] | None = None):
+    def __init__(self, name: str, xp: Any):
         self.name = name
         self.xp = xp
-        self._rng_factory = rng_factory or np.random.default_rng
-        self._asnumpy = asnumpy or np.asarray
-        self._to_device = to_device or _identity
-        self._to_host = to_host or _identity
-        self.transfers = {"to_device": 0, "to_host": 0, "asnumpy": 0}
 
     def __repr__(self) -> str:
         return f"ArrayBackend({self.name!r})"
 
-    def rng(self, seed=None):
-        """A generator with ``np.random.Generator`` draw semantics."""
-        return self._rng_factory(seed)
-
-    # -- transfer seams (the countable boundary) --
-    def to_device(self, x):
-        """Move host data onto the backend's device (identity on numpy)."""
-        self.transfers["to_device"] += 1
-        return self._to_device(x)
-
-    def to_host(self, x):
-        """Move device data back to the host (identity on numpy)."""
-        self.transfers["to_host"] += 1
-        return self._to_host(x)
-
-    def asnumpy(self, x) -> np.ndarray:
-        """Materialise ``x`` as a host ``np.ndarray`` (report boundary)."""
-        self.transfers["asnumpy"] += 1
-        return self._asnumpy(x)
-
-    def reset_transfers(self) -> None:
-        for key in self.transfers:
-            self.transfers[key] = 0
-
-    def total_transfers(self) -> int:
-        return sum(self.transfers.values())
-
     @classmethod
-    def from_namespace(cls, xp: Any, name: str = "custom",
-                       **kwargs) -> "ArrayBackend":
+    def from_namespace(cls, xp: Any, name: str = "custom") -> "ArrayBackend":
         """Backend over any Array-API namespace (e.g. ``array_api_strict``).
 
         The namespace is wrapped in :class:`NamespaceAdapter` so the
-        repro extension helpers resolve; conversions default to
-        ``np.asarray`` round trips, which every Array-API library's
-        arrays support via the buffer/DLPack protocols.
+        repro extension helpers resolve.
         """
-        return cls(name, NamespaceAdapter(xp), **kwargs)
+        return cls(name, NamespaceAdapter(xp))
 
 
 # -- registry ---------------------------------------------------------------------
 
-def _make_numpy() -> ArrayBackend:
-    return ArrayBackend("numpy", NumpyNamespace())
-
-
-def _make_instrumented() -> ArrayBackend:
-    return ArrayBackend(
-        "instrumented", InstrumentedNamespace(),
-        rng_factory=lambda seed=None: ArrayRNG(np.random.default_rng(seed)))
-
-
-def _make_cupy() -> ArrayBackend:
-    try:
-        import cupy
-    except ImportError as exc:
-        raise BackendUnavailable("cupy", "cupy") from exc
-    return ArrayBackend(
-        "cupy", NamespaceAdapter(cupy),
-        rng_factory=lambda seed=None: ArrayRNG(np.random.default_rng(seed)),
-        asnumpy=cupy.asnumpy, to_device=cupy.asarray, to_host=cupy.asnumpy)
-
-
-def _make_jax() -> ArrayBackend:
-    try:
-        import jax
-        import jax.numpy as jnp
-    except ImportError as exc:
-        raise BackendUnavailable("jax", "jax") from exc
-    return ArrayBackend(
-        "jax", NamespaceAdapter(jnp),
-        rng_factory=lambda seed=None: ArrayRNG(np.random.default_rng(seed)),
-        asnumpy=np.asarray, to_device=jax.device_put, to_host=jax.device_get)
-
-
 _FACTORIES: dict[str, Callable[[], ArrayBackend]] = {
-    "numpy": _make_numpy,
-    "instrumented": _make_instrumented,
-    "cupy": _make_cupy,
-    "jax": _make_jax,
+    "numpy": lambda: ArrayBackend("numpy", NumpyNamespace()),
+    "instrumented": lambda: ArrayBackend("instrumented",
+                                         InstrumentedNamespace()),
 }
-
-#: Optional backends and the module whose presence makes them available.
-_OPTIONAL_PACKAGES = {"cupy": "cupy", "jax": "jax"}
 
 _BACKEND_CACHE: dict[str, ArrayBackend] = {}
 
 
 def available_backends() -> tuple[str, ...]:
-    """Backend names usable in this environment (package importable)."""
-    names = []
-    for name in BACKENDS:
-        package = _OPTIONAL_PACKAGES.get(name)
-        if package is not None and importlib.util.find_spec(package) is None:
-            continue
-        names.append(name)
-    return tuple(names)
+    """Backend names usable in this environment (all registered ones)."""
+    return BACKENDS
 
 
 def get_backend(name: str = "numpy") -> ArrayBackend:
     """Resolve a backend by name (cached singletons).
 
-    Raises ``ValueError`` for unknown names and
-    :class:`BackendUnavailable` for known-but-uninstalled ones; the
-    declarative layer maps both onto ``SpecError``.
+    Raises ``ValueError`` for unknown names; the declarative layer maps
+    it onto ``SpecError``.
     """
     if name not in _FACTORIES:
         raise ValueError(

@@ -41,7 +41,6 @@ import numpy as np
 from ..operators.batch import (batch_crossover_for, batch_mutation_for,
                                batch_selection_for, split_crossover_for,
                                split_mutation_for, stack_params)
-from .backend import active_backend
 from .backend import active_namespace as _xp
 from .fitness import apply_fitness_array
 from .individual import Individual
@@ -71,8 +70,8 @@ def available_substrates() -> tuple[str, ...]:
 #: per individual.  Composite (tuple) genomes qualify only when their
 #: encoding publishes ``part_spans`` (fixed per-part column widths in the
 #: stacked row) so composite operators can slice the matrix per part;
-#: ragged composites (e.g. the FJSP's padded eligible-machine lists) stay
-#: on the object substrate.
+#: composites whose encoding publishes none (e.g. the FJSP's) stay on the
+#: object substrate.
 _ARRAY_KINDS = ("permutation", "repetition", "real")
 
 
@@ -96,8 +95,8 @@ def check_array_support(problem: Any, config: Any,
         raise ValueError(
             f"substrate='array' supports genome kinds {_ARRAY_KINDS}, but "
             f"the {type(problem.encoding).__name__} encoding is "
-            f"{problem.kind!r}; use substrate='object' for composite/"
-            f"ragged genomes")
+            f"{problem.kind!r}; a composite genome needs its encoding to "
+            f"publish part_spans, otherwise use substrate='object'")
     if selection:
         batch_selection_for(config.selection)
     batch_crossover_for(config.crossover)
@@ -267,9 +266,7 @@ class ArrayPopulationView(Population):
     @property
     def _members(self) -> list[Individual]:  # type: ignore[override]
         if self._cache is None or self._cache_version != self._state.version:
-            backend = active_backend()
-            matrix = backend.asnumpy(self._state.matrix)
-            objectives = backend.asnumpy(self._state.objectives)
+            matrix, objectives = self._state.matrix, self._state.objectives
             self._cache = [
                 Individual.from_row(self._problem, matrix[i], objectives[i])
                 for i in range(matrix.shape[0])
@@ -284,17 +281,13 @@ class ArrayPopulationView(Population):
         return self._state.objectives.copy()
 
     def best(self) -> Individual:
-        backend = active_backend()
         i = int(np.argmin(self._state.objectives))
-        return Individual.from_row(self._problem,
-                                   backend.asnumpy(self._state.matrix[i]),
+        return Individual.from_row(self._problem, self._state.matrix[i],
                                    self._state.objectives[i])
 
     def worst(self) -> Individual:
-        backend = active_backend()
         i = int(np.argmax(self._state.objectives))
-        return Individual.from_row(self._problem,
-                                   backend.asnumpy(self._state.matrix[i]),
+        return Individual.from_row(self._problem, self._state.matrix[i],
                                    self._state.objectives[i])
 
     def stats(self):

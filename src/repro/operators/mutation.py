@@ -135,6 +135,8 @@ class AssignmentMutation:
 
     ``domain_sizes[k]`` bounds gene k; mutated genes are redrawn uniformly
     in their own domain (Defersha & Chen's assignment operators [36]).
+    Multi-dimensional parts (the HFS ``(n_jobs, n_stages)`` assignment)
+    are mutated in row-major gene order and keep their shape.
     """
 
     def __init__(self, domain_sizes: np.ndarray, rate: float = 0.1):
@@ -143,11 +145,12 @@ class AssignmentMutation:
 
     def __call__(self, genome: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         g = np.asarray(genome, dtype=np.int64).copy()
-        mask = rng.random(g.size) < self.rate
+        flat = g.reshape(-1)  # a view: the copy is contiguous
+        mask = rng.random(flat.size) < self.rate
         idx = np.nonzero(mask)[0]
         for i in idx:
             hi = max(1, int(self.domain_sizes[i % self.domain_sizes.size]))
-            g[i] = rng.integers(0, hi)
+            flat[i] = rng.integers(0, hi)
         return g
 
 

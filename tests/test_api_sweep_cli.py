@@ -290,6 +290,13 @@ class TestCLIList:
                        "aliases: fine-grained"):
             assert needle in out
 
+    def test_list_prints_exactly_the_two_backends(self, capsys):
+        assert main(["list"]) == 0
+        out = capsys.readouterr().out
+        section = out.split("\nbackends:\n", 1)[1].split("\n\n", 1)[0]
+        assert section.splitlines() == ["  numpy", "  instrumented"]
+        assert "not installed" not in out
+
     def test_list_survives_missing_docstrings(self, capsys, monkeypatch):
         """Satellite: registry enumeration must not crash on components
         without docstrings -- it prints an em-dash placeholder."""

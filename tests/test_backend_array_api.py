@@ -5,7 +5,7 @@ installs it; the tests skip cleanly elsewhere).  The strict namespace
 implements *exactly* the Array-API standard -- no NumPy extras, no
 implicit conversions -- so driving the portable kernels through
 :meth:`ArrayBackend.from_namespace` proves they contain no hidden
-NumPy-isms, which is the same property a cupy/jax backend relies on.
+NumPy-isms, which is what the instrumented backend checks by name.
 """
 
 import numpy as np

@@ -75,6 +75,21 @@ class TestKeyMutations:
         out = AssignmentMutation(domains, rate=1.0)(g, rng)
         assert np.all(out < domains)
 
+    def test_assignment_mutation_on_hfs_assignment_matrix(self, rng):
+        """The HFS assignment part is (n_jobs, n_stages); gene order is
+        row-major, so column k holds stage k's genes."""
+        from repro.encodings.assignment_sequence import \
+            HybridFlowShopEncoding
+        from repro.instances import get_instance
+        instance = get_instance("hfs-10x3x2-shaped")
+        enc = HybridFlowShopEncoding(instance)
+        assign, _ = enc.random_genome(rng)
+        out = AssignmentMutation(enc.assignment_domain_sizes(),
+                                 rate=1.0)(assign, rng)
+        assert out.shape == assign.shape
+        stage_sizes = np.asarray(instance.machines_per_stage)
+        assert np.all((out >= 0) & (out < stage_sizes[None, :]))
+
     def test_integer_reset_within_alphabet(self, rng):
         g = np.zeros(30, dtype=np.int64)
         out = IntegerResetMutation(alphabet=5, rate=1.0)(g, rng)

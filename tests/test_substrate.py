@@ -561,6 +561,33 @@ class TestClosure:
         assert same_multiset_rows(out, X)
         assert out is not X  # never in place
 
+    @pytest.mark.parametrize("domains", [None, (1, 2, 5)],
+                             ids=["hfs-stages", "unequal"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_assignment_mutation_twins_keep_hfs_stage_domains(self, domains,
+                                                              seed):
+        """Scalar operator on the (n_jobs, n_stages) HFS assignment part,
+        batch twin on its flattened row: both keep every gene in its
+        stage's domain."""
+        from repro.encodings.assignment_sequence import \
+            HybridFlowShopEncoding
+        instance = get_instance("hfs-10x3x2-shaped")
+        enc = HybridFlowShopEncoding(instance)
+        sizes = np.asarray(domains if domains is not None
+                           else enc.assignment_domain_sizes())
+        op = AssignmentMutation(sizes, rate=0.5)
+        rng = np.random.default_rng(seed)
+        parts = [enc.random_genome(rng)[0] % sizes for _ in range(12)]
+        for part in parts:
+            out = op(part, rng)
+            assert out.shape == part.shape
+            assert ((out >= 0) & (out < sizes)).all()
+        X = np.stack([part.ravel() for part in parts])
+        out = batch_mutation_for(op)(X, rng)
+        assert out.shape == X.shape
+        grid = out.reshape(len(parts), *parts[0].shape)
+        assert ((grid >= 0) & (grid < sizes)).all()
+
     def test_real_crossovers_stay_in_bounds(self):
         rng = np.random.default_rng(3)
         A, B = rng.random((20, 9)), rng.random((20, 9))
@@ -868,6 +895,20 @@ class TestSupportStructures:
             view[0] = materialized[0]
         with pytest.raises(TypeError, match="read-only"):
             view.append(materialized[0])
+
+    def test_view_best_and_worst_copy_the_state_rows(self, ft06_problem):
+        rng = np.random.default_rng(5)
+        matrix = np.stack([ft06_problem.random_genome(rng) for _ in range(4)])
+        state = ArrayState(matrix.copy(), np.asarray([3.0, 1.0, 4.0, 2.0]))
+        view = ArrayPopulationView(ft06_problem, state)
+        best, worst = view.best(), view.worst()
+        np.testing.assert_array_equal(best.genome, matrix[1])
+        np.testing.assert_array_equal(worst.genome, matrix[2])
+        assert (best.objective, worst.objective) == (1.0, 4.0)
+        best.genome[:] = 0
+        worst.genome[:] = 0
+        view[0].genome[:] = 0
+        np.testing.assert_array_equal(state.matrix, matrix)
 
     def test_view_unique_fraction_counts_duplicate_rows(self, ft06_problem):
         rng = np.random.default_rng(2)

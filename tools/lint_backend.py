@@ -41,7 +41,7 @@ BASELINES = {
     # 60 -> 71: batch_completion_hybrid_flowshop -- signature hints,
     # docstring references and the validate-path error reporting; the
     # decode itself runs entirely on the active namespace (the
-    # instrumented-backend conformance sweep pins zero transfers)
+    # instrumented-backend conformance sweep pins instrumented == numpy)
     "src/repro/scheduling/batch.py": 71,
     "src/repro/scheduling/flowshop.py": 24,
     # 31 -> 12: signatures annotate through the module's Array /
