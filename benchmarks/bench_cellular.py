@@ -12,10 +12,11 @@ It asserts
 * the grid offspring stay valid permutations (closure under time
   pressure too), and
 * the grid path is at least 4x faster at the 32x32 acceptance grid
-  (9.5x on a 2-core Linux VM, NumPy 2.4: 0.070 s vs 0.0074 s per
-  generation; it was 4.6x while the per-cell RNG draws ran as a Python
-  loop instead of one raw block), env ``BENCH_MIN_SPEEDUP`` relaxing
-  the gate on noisy shared runners.
+  (9.6x on a shared 2-core Linux VM, NumPy 2.4: 0.037 s vs 0.0039 s per
+  generation, with the object path varying all cells with one kernel
+  call per operator; 17.2x on the same host while it called the
+  operators cell by cell), env ``BENCH_MIN_SPEEDUP`` relaxing the gate
+  on noisy shared runners.
 
 Emits ``BENCH_cellular.json`` next to this file (CI uploads it with the
 other per-PR perf artifacts).

@@ -39,6 +39,7 @@ from ..encodings.base import Problem
 from ..operators.crossover import Crossover, default_crossover_for
 from ..operators.mutation import Mutation, default_mutation_for
 from ..operators.selection import Selection, RouletteWheelSelection
+from ..operators.stages import Stage, value
 from .backend import active_namespace as _xp
 from .fitness import FitnessTransform, HeuristicOffsetFitness, apply_fitness
 from .individual import Individual, copy_genome
@@ -335,30 +336,36 @@ class SimpleGA:
         """Selection + crossover + mutation producing ``count`` offspring.
 
         Shared by the serial loop, the master-slave engine and the island
-        engine (each island calls it on its own subpopulation).
+        engine (each island calls it on its own subpopulation).  Every
+        draw comes pair by pair (gate, then crossover) and child by child
+        (gate, then mutation), followed by the immigrants; the crossovers
+        and the mutations then run as one kernel call each
+        (:class:`~repro.operators.stages.Stage`), which gives the same
+        offspring as calling the operators pair by pair.
         """
         cfg = self.config
+        rng = self.rng
         apply_fitness(population.members, cfg.fitness_transform)
         n_immigrants = int(round(cfg.immigration_rate * count))
         n_bred = count - n_immigrants
-        parents = cfg.selection(population, n_bred + (n_bred % 2), self.rng)
-        offspring: list[Individual] = []
+        parents = cfg.selection(population, n_bred + (n_bred % 2), rng)
+        cross = Stage(cfg.crossover, children=2)
+        genomes: list = []
         for i in range(0, len(parents) - 1, 2):
-            pa, pb = parents[i], parents[i + 1]
-            if self.rng.random() < cfg.crossover_rate:
-                ga, gb = cfg.crossover(pa.genome, pb.genome, self.rng)
+            ga, gb = parents[i].genome, parents[i + 1].genome
+            if rng.random() < cfg.crossover_rate:
+                genomes.extend(cross.add(rng, ga, gb))
             else:
-                ga = copy_genome(pa.genome)
-                gb = copy_genome(pb.genome)
-            offspring.append(Individual(ga))
-            offspring.append(Individual(gb))
-        offspring = offspring[:n_bred]
-        for k, child in enumerate(offspring):
-            if self.rng.random() < cfg.mutation_rate:
-                offspring[k] = Individual(cfg.mutation(child.genome, self.rng))
-        for _ in range(n_immigrants):
-            offspring.append(Individual(self.problem.random_genome(self.rng)))
-        return offspring
+                genomes.extend((copy_genome(ga), copy_genome(gb)))
+        cross.run()
+        mutate = Stage(cfg.mutation)
+        genomes = [mutate.add(rng, value(g))
+                   if rng.random() < cfg.mutation_rate else g
+                   for g in genomes[:n_bred]]
+        genomes.extend(self.problem.random_genome(rng)
+                       for _ in range(n_immigrants))
+        mutate.run()
+        return [Individual(value(g)) for g in genomes]
 
     @property
     def brood_sizes(self) -> tuple[int, int]:

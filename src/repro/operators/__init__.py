@@ -4,7 +4,7 @@ from .selection import (ElitistRouletteSelection, RandomSelection,
                         RankSelection, RouletteWheelSelection, Selection,
                         StochasticUniversalSampling, TournamentSelection)
 from .crossover import (ArithmeticCrossover, CompositeCrossover, Crossover,
-                        CycleCrossover, JobBasedCrossover,
+                        CycleCrossover, JobBasedCrossover, KernelCrossover,
                         LinearOrderCrossover, MultiStepCrossoverFusion,
                         NPointCrossover, OrderCrossover,
                         ParameterizedUniformCrossover, PathRelinkingCrossover,
@@ -13,8 +13,9 @@ from .crossover import (ArithmeticCrossover, CompositeCrossover, Crossover,
                         default_crossover_for)
 from .mutation import (AssignmentMutation, CompositeMutation,
                        GaussianKeyMutation, IntegerResetMutation,
-                       InversionMutation, Mutation, ResampleKeyMutation,
-                       ScrambleMutation, ShiftMutation, SwapMutation,
+                       InversionMutation, KernelMutation, Mutation,
+                       ResampleKeyMutation, ScrambleMutation, ShiftMutation,
+                       SwapMutation,
                        default_mutation_for)
 from .gt_crossover import GTThreeParentCrossover
 from .repair import is_permutation, is_repetition_of, repair_to_multiset
@@ -27,15 +28,16 @@ __all__ = [
     "Selection", "RouletteWheelSelection", "StochasticUniversalSampling",
     "TournamentSelection", "ElitistRouletteSelection", "RandomSelection",
     "RankSelection",
-    "Crossover", "NPointCrossover", "UniformCrossover",
+    "Crossover", "KernelCrossover", "NPointCrossover", "UniformCrossover",
     "ParameterizedUniformCrossover", "ArithmeticCrossover", "PMXCrossover",
     "OrderCrossover", "LinearOrderCrossover", "CycleCrossover",
     "PositionBasedCrossover", "JobBasedCrossover", "MultiStepCrossoverFusion",
     "PathRelinkingCrossover", "TimeHorizonCrossover", "CompositeCrossover",
     "default_crossover_for",
-    "Mutation", "SwapMutation", "ShiftMutation", "InversionMutation",
-    "ScrambleMutation", "GaussianKeyMutation", "ResampleKeyMutation",
-    "AssignmentMutation", "IntegerResetMutation", "CompositeMutation",
+    "Mutation", "KernelMutation", "SwapMutation", "ShiftMutation",
+    "InversionMutation", "ScrambleMutation", "GaussianKeyMutation",
+    "ResampleKeyMutation", "AssignmentMutation", "IntegerResetMutation",
+    "CompositeMutation",
     "default_mutation_for",
     "GTThreeParentCrossover",
     "repair_to_multiset", "is_permutation", "is_repetition_of",

@@ -23,20 +23,21 @@ Three conformance contracts hold throughout (pinned by
 * **closure** -- every batch crossover/mutation preserves each row's
   multiset (and hence permutation validity) exactly as its scalar twin
   does;
-* **kernel equality** -- the deterministic kernels (``ox_kernel``,
-  ``pmx_kernel``, ``jox_kernel``, ``batch_repair_to_multiset``, ...)
-  reproduce the scalar operator bit-for-bit when fed the same cut
-  points / masks;
+* **kernel equality** -- a scalar operator with a twin here *is* its
+  kernel on a one-row block, after a per-pair draw of the same cut
+  points / masks (:class:`~repro.operators.crossover.KernelCrossover`);
+  the tests pin each against a transcription of its former scalar loop,
+  and ``batch_repair_to_multiset`` against the scalar repair;
 * **selection stream equality** -- the batch selections consume the RNG
   with exactly the same calls as their scalar twins and return the same
   choices (as index arrays instead of ``Individual`` lists), which is
   what makes the array substrate's rate-0 generations *exactly* equal to
   the object substrate's under a shared RNG.
 
-Random *parameter drawing* inside crossovers/mutations is vectorised
-(one call for all rows), so it is distribution-equivalent but not
-stream-identical to the scalar loop -- the documented limit of array
-conformance (see ``docs/architecture.md``, "Two substrates").
+The array substrate's *parameter drawing* is vectorised (one call for
+all rows), so it is distribution-equivalent but not stream-identical to
+the per-pair draws of the scalar operators -- the documented limit of
+array conformance (see ``docs/architecture.md``, "Two substrates").
 
 Dispatch is by operator class: :func:`batch_selection_for` /
 :func:`batch_crossover_for` / :func:`batch_mutation_for` map a
@@ -139,8 +140,8 @@ def batch_repair_to_multiset(children: np.ndarray, counts: np.ndarray,
 
     ``counts`` is ``(rows, n_values)`` -- the target multiset per row;
     ``donors`` supplies missing values in donor order, exactly like the
-    scalar repair.  Requires each donor row to cover its row's missing
-    values (true whenever parents share a multiset, the GA invariant).
+    scalar repair, and values a donor row cannot cover (parents with
+    different multisets) follow in ascending order, as they do there.
     """
     xp = _xp()
     m, n = children.shape
@@ -154,10 +155,20 @@ def batch_repair_to_multiset(children: np.ndarray, counts: np.ndarray,
     missing = counts - xp.minimum(child_counts, counts)
     occ_donor = row_occurrence(donors, n_values)
     take = occ_donor < missing[rows, donors]
+    fill = donors[take]
+    short = missing - row_bincount(donors, n_values, mask=take)
+    if short.any():
+        # per row: the donor's values, then the uncovered ones ascending
+        extra = xp.repeat(xp.tile(xp.arange(n_values, dtype=xp.int64), m),
+                          short.ravel())
+        owner = xp.concatenate([
+            xp.nonzero(take)[0],
+            xp.repeat(xp.arange(m, dtype=xp.int64), xp.sum(short, axis=1))])
+        fill = xp.concatenate([fill, extra])[xp.stable_argsort(owner)]
     out = children.copy()
     # both masks enumerate row-major with equal per-row counts, so the
-    # k-th surplus position and the k-th donor filler share a row
-    out[~legal] = donors[take]
+    # k-th surplus position and the k-th filler share a row
+    out[~legal] = fill
     return out
 
 
@@ -179,11 +190,12 @@ def ox_kernel(A: np.ndarray, B: np.ndarray, lo: np.ndarray,
               hi: np.ndarray) -> np.ndarray:
     """Row-wise OX child: keep ``A[lo:hi)``, fill from B wrapped at hi.
 
-    Bit-identical to ``OrderCrossover._ox_child`` per row (multiset-safe,
-    wrap-around fill order).  B's value at a fill slot is taken while its
-    occurrence count in the wrapped order is below what A's segment left
-    missing; when every row of A is a permutation, all counts are zero,
-    so the sort behind :func:`row_occurrence` is skipped.
+    The whole of ``OrderCrossover`` (multiset-safe, wrap-around fill
+    order), which calls it on one-row blocks.  B's value at a fill slot
+    is taken while its occurrence count in the wrapped order is below
+    what A's segment left missing; when every row of A is a permutation,
+    all counts are zero, so the sort behind :func:`row_occurrence` is
+    skipped.
     """
     xp = _xp()
     m, n = A.shape
@@ -213,10 +225,9 @@ def pmx_kernel(A: np.ndarray, B: np.ndarray, lo: np.ndarray,
                hi: np.ndarray) -> np.ndarray:
     """Row-wise PMX child (strict permutations of ``range(n)``).
 
-    Bit-identical to ``PMXCrossover._pmx_child`` per row: the copied B
-    segment induces a value mapping that outside positions follow until
-    they leave the segment's value set (chains resolved iteratively, all
-    rows at once).
+    The whole of ``PMXCrossover``: the copied B segment induces a value
+    mapping that outside positions follow until they leave the segment's
+    value set (chains resolved iteratively, all rows at once).
     """
     xp = _xp()
     m, n = A.shape
@@ -242,7 +253,7 @@ def jox_kernel(A: np.ndarray, B: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """Row-wise JOX child: jobs with ``keep[row, job]`` hold A's positions,
     the rest are filled with B's occurrences in B order.
 
-    Bit-identical to ``JobBasedCrossover._jox_child`` per row.
+    The whole of ``JobBasedCrossover``.
     """
     xp = _xp()
     rows = xp.arange(A.shape[0], dtype=xp.int64)[:, None]
@@ -281,7 +292,7 @@ def shift_kernel(X: np.ndarray, src: np.ndarray,
                  dst: np.ndarray) -> np.ndarray:
     """Remove gene ``src`` and reinsert at ``dst`` (of the n-1 list), rowwise.
 
-    Bit-identical to ``ShiftMutation``'s delete-then-insert per row.
+    ``ShiftMutation``'s delete-then-insert, row by row.
     """
     xp = _xp()
     m, n = X.shape

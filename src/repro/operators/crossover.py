@@ -26,18 +26,27 @@ All operators are classes with signature
 genomes (ndarrays / tuples).  Permutation operators assume int genomes;
 repetition-safe ones accept any multiset and preserve it exactly (tested
 property: multiset closure).
+
+Every operator with a row-wise kernel in :mod:`repro.operators.batch`
+is a :class:`KernelCrossover`: a per-pair :meth:`~KernelCrossover.draw`
+makes the operator's RNG calls, and the call is that draw plus the
+kernel on a one-row block -- the operator has no scalar child loop of
+its own.  Because the draw is split from the kernel, the object
+substrate draws pair by pair and varies a whole generation with one
+kernel call (:mod:`repro.operators.stages`).  Multi-dimensional genomes
+reach the kernel flattened in row-major order.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+import copy
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .repair import repair_to_multiset
-
 __all__ = [
     "Crossover",
+    "KernelCrossover",
     "NPointCrossover",
     "UniformCrossover",
     "ParameterizedUniformCrossover",
@@ -59,11 +68,73 @@ Crossover = Callable[[np.ndarray, np.ndarray, np.random.Generator],
                      tuple[np.ndarray, np.ndarray]]
 
 
-def _counts(parent: np.ndarray) -> np.ndarray:
-    return np.bincount(np.asarray(parent, dtype=np.int64))
+class KernelCrossover:
+    """A crossover that is a per-pair draw plus a row-wise batch kernel.
+
+    Subclasses implement :meth:`draw`; the call runs the kernel their
+    class registers in :mod:`repro.operators.batch` on the one-row
+    blocks of the two parents.  ``dtype`` is the dtype parents reach the
+    kernel in (``None``: their own).
+    """
+
+    dtype: type | None = None
+
+    def kernel_input(self, genome: np.ndarray
+                     ) -> tuple["KernelCrossover", np.ndarray]:
+        """``(operator, array)``: the operator whose kernel reproduces
+        this one on ``genome``, and the genome as that kernel reads it."""
+        return self, np.asarray(genome, dtype=self.dtype)
+
+    def draw(self, a: np.ndarray, b: np.ndarray,
+             rng: np.random.Generator) -> Any:
+        """Kernel params for the pair ``(a, b)`` as a one-row block.
+
+        Makes exactly this operator's RNG calls for one pair; ``a`` and
+        ``b`` come as :meth:`kernel_input` returns them.
+        """
+        raise NotImplementedError
+
+    def __call__(self, a, b, rng):
+        from .batch import split_crossover_for
+        op, a = self.kernel_input(a)
+        b = self.kernel_input(b)[1]
+        params = self.draw(a, b, rng)
+        child_a, child_b = split_crossover_for(op).kernel(
+            op, a.reshape(1, -1), b.reshape(1, -1), params)
+        return child_a.reshape(a.shape), child_b.reshape(b.shape)
 
 
-class NPointCrossover:
+def _draw_segment(n: int, rng: np.random.Generator):
+    """One pair's segment ``[lo, hi)`` of at least two genes (OX, PMX)."""
+    if n < 2:
+        return None
+    pair = rng.choice(n, size=2, replace=False)
+    pair.sort()
+    return pair[:1], pair[1:] + 1
+
+
+class _Repairing(KernelCrossover):
+    """Exchange crossovers whose children are repaired to A's multiset.
+
+    The object rule repairs 1-D integer genomes only, into int64; the
+    kernel repairs every integer row, so a multi-dimensional integer
+    genome runs through a repair-free copy of the operator.
+    """
+
+    repair: bool
+
+    def kernel_input(self, genome):
+        a = np.asarray(genome)
+        if not (self.repair and np.issubdtype(a.dtype, np.integer)):
+            return self, a
+        if a.ndim == 1:
+            return self, a.astype(np.int64, copy=False)
+        plain = copy.copy(self)
+        plain.repair = False
+        return plain, a
+
+
+class NPointCrossover(_Repairing):
     """Classic n-point crossover with multiset repair."""
 
     def __init__(self, points: int = 1, repair: bool = True):
@@ -72,34 +143,17 @@ class NPointCrossover:
         self.points = points
         self.repair = repair
 
-    def __call__(self, a: np.ndarray, b: np.ndarray,
-                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        a = np.asarray(a)
-        b = np.asarray(b)
-        shape = a.shape
-        a_flat, b_flat = a.ravel(), b.ravel()
-        n = a_flat.size
+    def draw(self, a, b, rng):
+        """Sorted cut positions in ``1 .. n-1`` over the flattened genome."""
+        n = a.size
         if n < 2:
-            return a.copy(), b.copy()
+            return None
         k = min(self.points, n - 1)
-        cuts = np.sort(rng.choice(np.arange(1, n), size=k, replace=False))
-        mask = np.zeros(n, dtype=bool)
-        toggle = False
-        prev = 0
-        for cut in list(cuts) + [n]:
-            mask[prev:cut] = toggle
-            toggle = not toggle
-            prev = cut
-        child_a = np.where(mask, b_flat, a_flat)
-        child_b = np.where(mask, a_flat, b_flat)
-        if self.repair and a.ndim == 1 and np.issubdtype(a.dtype, np.integer):
-            counts = _counts(a_flat)
-            child_a = repair_to_multiset(child_a, counts, donor=b_flat)
-            child_b = repair_to_multiset(child_b, counts, donor=a_flat)
-        return child_a.reshape(shape), child_b.reshape(shape)
+        return np.sort(rng.choice(np.arange(1, n), size=k,
+                                  replace=False)).reshape(1, -1)
 
 
-class UniformCrossover:
+class UniformCrossover(_Repairing):
     """Uniform crossover (gene-wise coin flips) with multiset repair."""
 
     def __init__(self, swap_prob: float = 0.5, repair: bool = True):
@@ -108,20 +162,11 @@ class UniformCrossover:
         self.swap_prob = swap_prob
         self.repair = repair
 
-    def __call__(self, a, b, rng):
-        a = np.asarray(a)
-        b = np.asarray(b)
-        mask = rng.random(a.shape) < self.swap_prob
-        child_a = np.where(mask, b, a)
-        child_b = np.where(mask, a, b)
-        if self.repair and a.ndim == 1 and np.issubdtype(a.dtype, np.integer):
-            counts = _counts(a)
-            child_a = repair_to_multiset(child_a, counts, donor=b)
-            child_b = repair_to_multiset(child_b, counts, donor=a)
-        return child_a, child_b
+    def draw(self, a, b, rng):
+        return (rng.random(a.shape) < self.swap_prob).reshape(1, -1)
 
 
-class ParameterizedUniformCrossover:
+class ParameterizedUniformCrossover(KernelCrossover):
     """Biased uniform crossover on real vectors (Huang et al. [24]).
 
     Each gene of child A comes from parent A with probability ``bias``
@@ -129,100 +174,58 @@ class ParameterizedUniformCrossover:
     No repair needed: random keys are always feasible.
     """
 
+    dtype = np.float64
+
     def __init__(self, bias: float = 0.7):
         if not 0.0 <= bias <= 1.0:
             raise ValueError("bias must be in [0, 1]")
         self.bias = bias
 
-    def __call__(self, a, b, rng):
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        take_a = rng.random(a.size) < self.bias
-        return np.where(take_a, a, b), np.where(take_a, b, a)
+    def draw(self, a, b, rng):
+        return (rng.random(a.size) < self.bias).reshape(1, -1)
 
 
-class ArithmeticCrossover:
+class ArithmeticCrossover(KernelCrossover):
     """Blend crossover on real vectors (Zajicek & Sucha [25]).
 
     ``child = w*a + (1-w)*b`` with a fresh random weight per call.
     """
 
+    dtype = np.float64
+
     def __init__(self, fixed_weight: float | None = None):
         self.fixed_weight = fixed_weight
 
-    def __call__(self, a, b, rng):
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        w = self.fixed_weight if self.fixed_weight is not None else rng.random()
-        return w * a + (1 - w) * b, (1 - w) * a + w * b
+    def draw(self, a, b, rng):
+        if self.fixed_weight is not None:
+            return None
+        return np.array([[rng.random()]])
 
 
-class PMXCrossover:
+class PMXCrossover(KernelCrossover):
     """Partially matched crossover (Asadzadeh & Zamanifar [27]).
 
-    Strict permutation operator: swaps a segment and resolves conflicts
-    through the induced mapping.
+    Strict permutation operator (genomes permute ``range(n)``): swaps a
+    segment and resolves conflicts through the induced mapping.
     """
 
-    def __call__(self, a, b, rng):
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        n = a.size
-        if n < 2:
-            return a.copy(), b.copy()
-        lo, hi = np.sort(rng.choice(n, size=2, replace=False))
-        hi += 1
-        return self._pmx_child(a, b, lo, hi), self._pmx_child(b, a, lo, hi)
+    dtype = np.int64
 
-    @staticmethod
-    def _pmx_child(a: np.ndarray, b: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        child = a.copy()
-        child[lo:hi] = b[lo:hi]
-        # mapping from the copied segment back to displaced genes
-        mapping = {int(b[i]): int(a[i]) for i in range(lo, hi)}
-        for i in list(range(0, lo)) + list(range(hi, a.size)):
-            v = int(a[i])
-            seen = set()
-            while v in mapping and v not in seen:
-                seen.add(v)
-                v = mapping[v]
-            child[i] = v
-        return child
+    def draw(self, a, b, rng):
+        return _draw_segment(a.size, rng)
 
 
-class OrderCrossover:
+class OrderCrossover(KernelCrossover):
     """OX: keep a slice from parent A, fill the rest in parent-B order.
 
     Multiset-safe: works for permutations *and* permutations with
     repetition (occurrences are matched by count).
     """
 
-    def __call__(self, a, b, rng):
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        n = a.size
-        if n < 2:
-            return a.copy(), b.copy()
-        lo, hi = np.sort(rng.choice(n, size=2, replace=False))
-        hi += 1
-        return self._ox_child(a, b, lo, hi), self._ox_child(b, a, lo, hi)
+    dtype = np.int64
 
-    @staticmethod
-    def _ox_child(a: np.ndarray, b: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        n = a.size
-        counts = np.bincount(a, minlength=int(max(a.max(), b.max())) + 1)
-        child = np.full(n, -1, dtype=np.int64)
-        child[lo:hi] = a[lo:hi]
-        used = np.bincount(a[lo:hi], minlength=counts.size)
-        fill = []
-        for v in np.concatenate([b[hi:], b[:hi]]):
-            if used[v] < counts[v]:
-                fill.append(int(v))
-                used[v] += 1
-        positions = list(range(hi, n)) + list(range(0, lo))
-        for pos, v in zip(positions, fill):
-            child[pos] = v
-        return child
+    def draw(self, a, b, rng):
+        return _draw_segment(a.size, rng)
 
 
 class LinearOrderCrossover:
@@ -325,7 +328,7 @@ class PositionBasedCrossover:
         return child
 
 
-class JobBasedCrossover:
+class JobBasedCrossover(KernelCrossover):
     """Job-based crossover (JOX) for operation-based JSSP chromosomes.
 
     A random subset of *jobs* keeps all its gene positions from parent A;
@@ -333,21 +336,12 @@ class JobBasedCrossover:
     each job's occurrence count by construction.
     """
 
-    def __call__(self, a, b, rng):
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        n_jobs = int(max(a.max(), b.max())) + 1
-        keep = rng.random(n_jobs) < 0.5
-        return self._jox_child(a, b, keep), self._jox_child(b, a, keep)
+    dtype = np.int64
 
-    @staticmethod
-    def _jox_child(a, b, keep):
-        child = np.full(a.size, -1, dtype=np.int64)
-        mask = keep[a]
-        child[mask] = a[mask]
-        fill = [int(v) for v in b if not keep[v]]
-        child[~mask] = fill
-        return child
+    def draw(self, a, b, rng):
+        """Keep mask over the pair's job ids."""
+        n_jobs = int(max(a.max(), b.max())) + 1
+        return (rng.random(n_jobs) < 0.5).reshape(1, -1)
 
 
 class MultiStepCrossoverFusion:
@@ -467,6 +461,17 @@ class CompositeCrossover:
         self.spans = None if spans is None else tuple(int(w) for w in spans)
         if self.spans is not None and len(self.spans) != len(self.parts):
             raise ValueError("spans must give one column width per part")
+
+    def draw(self, a, b, rng):
+        """Per-pair draws of the live parts, in part order.
+
+        The live parts are those the batch twin slices (an operator and
+        a non-zero span); the params are the twin kernel's.  Each part
+        must be an array its operator's kernel reads as it is.
+        """
+        return [op.draw(pa, pb, rng)
+                for op, pa, pb, width in zip(self.parts, a, b, self.spans)
+                if op is not None and width > 0]
 
     def __call__(self, a, b, rng):
         if not isinstance(a, tuple) or len(a) != len(self.parts):

@@ -7,16 +7,24 @@ neighborhood) to respect feasible solutions" (survey, Section III.A).
 
 All operators are classes with signature ``mut(genome, rng) -> genome``
 returning a *new* genome (inputs are never modified in place).
+
+As with crossovers, every operator with a row-wise kernel in
+:mod:`repro.operators.batch` is a :class:`KernelMutation`: a per-genome
+:meth:`~KernelMutation.draw` that makes the RNG calls, and a call that is
+that draw plus the kernel on a one-row block.  Draws read only the
+genome's shape, never its values.  Multi-dimensional genomes are mutated
+in row-major gene order and keep their shape.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 __all__ = [
     "Mutation",
+    "KernelMutation",
     "SwapMutation",
     "ShiftMutation",
     "InversionMutation",
@@ -32,7 +40,48 @@ __all__ = [
 Mutation = Callable[[np.ndarray, np.random.Generator], np.ndarray]
 
 
-class SwapMutation:
+class KernelMutation:
+    """A mutation that is a per-genome draw plus a row-wise batch kernel.
+
+    Subclasses implement :meth:`draw`; the call runs the kernel their
+    class registers in :mod:`repro.operators.batch` on the genome's
+    one-row block.  ``dtype`` is the dtype genomes reach the kernel in
+    (``None``: their own).
+    """
+
+    dtype: type | None = None
+
+    def kernel_input(self, genome: np.ndarray
+                     ) -> tuple["KernelMutation", np.ndarray]:
+        """``(operator, array)``: the operator whose kernel reproduces
+        this one on ``genome``, and the genome as that kernel reads it."""
+        return self, np.asarray(genome, dtype=self.dtype)
+
+    def draw(self, genome: np.ndarray, rng: np.random.Generator) -> Any:
+        """Kernel params for ``genome`` as a one-row block.
+
+        Makes exactly this operator's RNG calls for one genome and reads
+        only ``genome.shape``.
+        """
+        raise NotImplementedError
+
+    def __call__(self, genome: np.ndarray,
+                 rng: np.random.Generator) -> np.ndarray:
+        from .batch import split_mutation_for
+        op, g = self.kernel_input(genome)
+        params = self.draw(g, rng)
+        out = split_mutation_for(op).kernel(op, g.reshape(1, -1), params)
+        return out.reshape(g.shape)
+
+
+def _draw_pair(n: int, rng: np.random.Generator):
+    """Two distinct positions ``lo < hi`` as one-row index arrays."""
+    pair = rng.choice(n, size=2, replace=False)
+    pair.sort()
+    return pair[:1], pair[1:]
+
+
+class SwapMutation(KernelMutation):
     """Pairwise interchange (swap neighbourhood); ``pairs`` swaps per call."""
 
     def __init__(self, pairs: int = 1):
@@ -40,43 +89,29 @@ class SwapMutation:
             raise ValueError("pairs must be positive")
         self.pairs = pairs
 
-    def __call__(self, genome: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        g = np.asarray(genome).copy()
-        n = g.size
+    def draw(self, genome, rng):
+        n = genome.size
         if n < 2:
-            return g
-        for _ in range(self.pairs):
-            i, j = rng.choice(n, size=2, replace=False)
-            g[i], g[j] = g[j], g[i]
-        return g
+            return None
+        return tuple(_draw_pair(n, rng) for _ in range(self.pairs))
 
 
-class ShiftMutation:
+class ShiftMutation(KernelMutation):
     """Shift / insertion neighbourhood: remove one gene, reinsert elsewhere."""
 
-    def __call__(self, genome: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        g = np.asarray(genome).copy()
-        n = g.size
+    def draw(self, genome, rng):
+        n = genome.size
         if n < 2:
-            return g
-        src = int(rng.integers(0, n))
-        dst = int(rng.integers(0, n - 1))
-        v = g[src]
-        g = np.delete(g, src)
-        return np.insert(g, dst, v)
+            return None
+        src = rng.integers(0, n, size=1)
+        return src, rng.integers(0, n - 1, size=1)
 
 
-class InversionMutation:
+class InversionMutation(KernelMutation):
     """Invert a random segment (Kokosinski's invert mutation [32])."""
 
-    def __call__(self, genome: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        g = np.asarray(genome).copy()
-        n = g.size
-        if n < 2:
-            return g
-        lo, hi = np.sort(rng.choice(n, size=2, replace=False))
-        g[lo:hi + 1] = g[lo:hi + 1][::-1]
-        return g
+    def draw(self, genome, rng):
+        return None if genome.size < 2 else _draw_pair(genome.size, rng)
 
 
 class ScrambleMutation:
@@ -94,12 +129,14 @@ class ScrambleMutation:
         return g
 
 
-class GaussianKeyMutation:
+class GaussianKeyMutation(KernelMutation):
     """Gaussian perturbation of random keys (Zajicek & Sucha [25]).
 
     Each gene is perturbed with probability ``rate``; results are clipped
     to [0, 1) so the genome stays a valid key vector.
     """
+
+    dtype = np.float64
 
     def __init__(self, sigma: float = 0.1, rate: float = 0.2):
         if sigma <= 0:
@@ -109,12 +146,10 @@ class GaussianKeyMutation:
         self.sigma = sigma
         self.rate = rate
 
-    def __call__(self, genome: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        g = np.asarray(genome, dtype=float).copy()
-        mask = rng.random(g.size) < self.rate
-        g[mask] = np.clip(g[mask] + rng.normal(0, self.sigma, mask.sum()),
-                          0.0, 1.0 - 1e-12)
-        return g
+    def draw(self, genome, rng):
+        """Perturbed-gene mask plus the noise, in gene order."""
+        mask = rng.random(genome.size) < self.rate
+        return mask.reshape(1, -1), rng.normal(0, self.sigma, mask.sum())
 
 
 class ResampleKeyMutation:
@@ -130,7 +165,7 @@ class ResampleKeyMutation:
         return g
 
 
-class AssignmentMutation:
+class AssignmentMutation(KernelMutation):
     """Reassign operations to random eligible machines (flexible shops).
 
     ``domain_sizes[k]`` bounds gene k; mutated genes are redrawn uniformly
@@ -139,19 +174,19 @@ class AssignmentMutation:
     are mutated in row-major gene order and keep their shape.
     """
 
+    dtype = np.int64
+
     def __init__(self, domain_sizes: np.ndarray, rate: float = 0.1):
         self.domain_sizes = np.asarray(domain_sizes, dtype=np.int64)
         self.rate = rate
 
-    def __call__(self, genome: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        g = np.asarray(genome, dtype=np.int64).copy()
-        flat = g.reshape(-1)  # a view: the copy is contiguous
-        mask = rng.random(flat.size) < self.rate
-        idx = np.nonzero(mask)[0]
-        for i in idx:
-            hi = max(1, int(self.domain_sizes[i % self.domain_sizes.size]))
-            flat[i] = rng.integers(0, hi)
-        return g
+    def draw(self, genome, rng):
+        """Mutated-gene mask plus each gene's redraw, one call per gene."""
+        mask = rng.random(genome.size) < self.rate
+        sizes = self.domain_sizes
+        values = [rng.integers(0, max(1, int(sizes[i % sizes.size])))
+                  for i in np.nonzero(mask)[0]]
+        return mask.reshape(1, -1), np.array(values, dtype=np.int64)
 
 
 class IntegerResetMutation:
@@ -184,6 +219,14 @@ class CompositeMutation:
         self.spans = None if spans is None else tuple(int(w) for w in spans)
         if self.spans is not None and len(self.spans) != len(self.parts):
             raise ValueError("spans must give one column width per part")
+
+    def draw(self, genome, rng):
+        """Draws of the live parts, in part order (see
+        :meth:`CompositeCrossover.draw
+        <repro.operators.crossover.CompositeCrossover.draw>`)."""
+        return [op.draw(part, rng)
+                for op, part, width in zip(self.parts, genome, self.spans)
+                if op is not None and width > 0]
 
     def __call__(self, genome, rng):
         if not isinstance(genome, tuple) or len(genome) != len(self.parts):

@@ -28,7 +28,8 @@ Neighbourhood shapes follow the cellular-GA literature (Alba & Dorronsoro
 ``C13`` (Moore + axial radius 2).
 
 Two substrates (``GAConfig.substrate``): the ``object`` path keeps a
-``list[list[Individual]]`` grid and breeds cell by cell; the ``array``
+``list[list[Individual]]`` grid, draws cell by cell and varies all cells
+with one kernel call per operator; the ``array``
 path keeps the grid as a :class:`~repro.core.substrate.GridState` --
 a ``(rows, cols, n_genes)`` chromosome tensor plus a ``(rows, cols)``
 objective grid -- and runs one whole synchronous generation as batched
@@ -52,7 +53,7 @@ import numpy as np
 
 from ..core.backend import active_namespace as _xp
 from ..core.ga import GAConfig, GAResult
-from ..core.individual import Individual
+from ..core.individual import Individual, copy_genome
 from ..core.observers import HistoryRecorder, Observer
 from ..core.population import Population
 from ..core.rng import cell_draws, make_rng
@@ -61,6 +62,7 @@ from ..core.substrate import (ArrayPopulationView, GridState,
 from ..core.termination import MaxGenerations, Termination, TerminationState
 from ..encodings.base import Problem
 from ..operators.batch import batch_crossover_for, batch_mutation_for
+from ..operators.stages import Stage, value
 
 __all__ = ["NEIGHBORHOODS", "CellularGA", "neighborhood_offsets",
            "grid_neighbor_table"]
@@ -264,6 +266,36 @@ class CellularGA:
             child = Individual(cfg.mutation(child.genome, self.rng))
         return child
 
+    def _breed_cells(self) -> list[Individual]:
+        """Every cell's offspring against the *old* grid, row-major.
+
+        The draws are :meth:`_breed_cell`'s, cell by cell; the crossovers
+        and the mutations then run as one kernel call each
+        (:class:`~repro.operators.stages.Stage`).  A mutation draw reads
+        only its child's shape, so it draws on the centre genome while
+        the child is pending; a one-shot mutation needs the child itself
+        and runs that cell's crossover first.
+        """
+        cfg = self.config
+        rng = self.rng
+        cross = Stage(cfg.crossover, children=2)
+        mutate = Stage(cfg.mutation)
+        children = []
+        for r in range(self.rows):
+            for c in range(self.cols):
+                centre = self.grid[r][c].genome
+                mate = self._local_mate(r, c).genome
+                if rng.random() < cfg.crossover_rate:
+                    child = cross.add(rng, centre, mate)[0]
+                else:
+                    child = copy_genome(centre)
+                if rng.random() < cfg.mutation_rate:
+                    child = mutate.add(rng, child)
+                children.append(child)
+        cross.run()
+        mutate.run()
+        return [Individual(value(child)) for child in children]
+
     def _replace_cell(self, r: int, c: int, child: Individual) -> None:
         if (self.replacement == "always"
                 or child.objective < self.grid[r][c].objective):
@@ -324,18 +356,11 @@ class CellularGA:
         if self.substrate == "array":
             self._step_grid()
         elif self.update == "synchronous":
-            # compute every cell's offspring against the *old* grid
-            candidates: list[list[Individual]] = [
-                [None] * self.cols for _ in range(self.rows)]  # type: ignore
-            for r in range(self.rows):
-                for c in range(self.cols):
-                    candidates[r][c] = self._breed_cell(r, c)
-            flat = [candidates[r][c] for r in range(self.rows)
-                    for c in range(self.cols)]
+            flat = self._breed_cells()
             self._evaluate(flat)
             for r in range(self.rows):
                 for c in range(self.cols):
-                    self._replace_cell(r, c, candidates[r][c])
+                    self._replace_cell(r, c, flat[r * self.cols + c])
         else:  # asynchronous fixed line sweep: updates visible immediately
             for r in range(self.rows):
                 for c in range(self.cols):

@@ -3,8 +3,9 @@
 Three layers of guarantees (see ``docs/architecture.md``, "Two
 substrates"):
 
-1. **kernel equality** -- each deterministic batch kernel reproduces its
-   scalar twin bit-for-bit given the same cuts/masks;
+1. **kernel equality** -- each deterministic batch kernel reproduces the
+   scalar loop it replaced (transcribed in ``scalar_reference``)
+   bit-for-bit given the same cuts/masks;
 2. **closure** -- every batch crossover/mutation preserves row multisets
    (hence permutation validity) like the scalar operators do;
 3. **engine equivalence** -- batch selections consume the RNG exactly
@@ -19,6 +20,7 @@ import numpy as np
 import pytest
 
 import repro
+import scalar_reference
 from repro import GAConfig, IslandGA, MaxGenerations, Population, SimpleGA
 from repro.core.substrate import (ArrayPopulationView, ArrayState,
                                   available_substrates, elitist_merge_arrays,
@@ -82,7 +84,7 @@ def ox_by_occurrence(A, B, lo, hi):
     return child
 
 
-# -- layer 1: kernels vs scalar operator internals -------------------------------
+# -- layer 1: kernels vs the transcribed scalar loops ----------------------------
 
 class TestKernelEquality:
     def test_row_occurrence_counts_left_to_right(self):
@@ -109,8 +111,8 @@ class TestKernelEquality:
         lo, hi = lo_hi[:, 0], lo_hi[:, 1] + 1
         batch = ox_kernel(A, B, lo, hi)
         for k in range(16):
-            scalar = OrderCrossover._ox_child(A[k], B[k], int(lo[k]),
-                                              int(hi[k]))
+            scalar = scalar_reference.ox_child(A[k], B[k], int(lo[k]),
+                                               int(hi[k]))
             assert np.array_equal(batch[k], scalar)
 
     @pytest.mark.parametrize("rows", ["permutation", "multiset", "mixed"])
@@ -131,8 +133,8 @@ class TestKernelEquality:
         batch = ox_kernel(A, B, lo, hi)
         assert np.array_equal(batch, ox_by_occurrence(A, B, lo, hi))
         for k in range(m):
-            scalar = OrderCrossover._ox_child(A[k], B[k], int(lo[k]),
-                                              int(hi[k]))
+            scalar = scalar_reference.ox_child(A[k], B[k], int(lo[k]),
+                                               int(hi[k]))
             assert np.array_equal(batch[k], scalar)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -145,8 +147,8 @@ class TestKernelEquality:
         lo, hi = lo_hi[:, 0], lo_hi[:, 1] + 1
         batch = pmx_kernel(A, B, lo, hi)
         for k in range(16):
-            scalar = PMXCrossover._pmx_child(A[k], B[k], int(lo[k]),
-                                             int(hi[k]))
+            scalar = scalar_reference.pmx_child(A[k], B[k], int(lo[k]),
+                                                int(hi[k]))
             assert np.array_equal(batch[k], scalar)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -157,7 +159,7 @@ class TestKernelEquality:
         keep = rng.random((16, 6)) < 0.5
         batch = jox_kernel(A, B, keep)
         for k in range(16):
-            scalar = JobBasedCrossover._jox_child(A[k], B[k], keep[k])
+            scalar = scalar_reference.jox_child(A[k], B[k], keep[k])
             assert np.array_equal(batch[k], scalar)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -169,6 +171,20 @@ class TestKernelEquality:
         rng = np.random.default_rng(seed)
         mask = rng.random(A.shape) < 0.5
         child = np.where(mask, B, A)
+        counts = row_bincount(A, 4)
+        batch = batch_repair_to_multiset(child, counts, B)
+        for k in range(12):
+            scalar = repair_to_multiset(child[k], counts[k], donor=B[k])
+            assert np.array_equal(batch[k], scalar)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_batch_repair_matches_scalar_for_foreign_donors(self, seed):
+        # parents with different multisets (e.g. dispatch-rule genomes):
+        # values the donor cannot cover follow its own, ascending
+        rng = np.random.default_rng(seed)
+        A = rng.integers(0, 4, size=(12, 9))
+        B = rng.integers(0, 4, size=(12, 9))
+        child = np.where(rng.random(A.shape) < 0.5, B, A)
         counts = row_bincount(A, 4)
         batch = batch_repair_to_multiset(child, counts, B)
         for k in range(12):
