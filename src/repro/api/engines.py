@@ -229,7 +229,7 @@ def _register_heuristic(name: str, aliases: tuple[str, ...],
     Heuristic engines accept any substrate (they never iterate a
     population, so the flag is vacuous but valid) and carry the
     ``heuristic=True`` tag the solver service's fast-answer tier keys
-    on: deterministic millisecond solves are answered inline instead of
+    on: deterministic single-shot solves are answered inline instead of
     paying a worker-pool round trip.
     """
     @register_engine(name, aliases=aliases, description=description,

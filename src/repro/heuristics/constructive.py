@@ -16,7 +16,11 @@ Rules
     ``m = 3`` is the classic ``p1 + p2`` vs. ``p2 + p3`` 3-machine rule.
 ``neh``
     Nawaz--Enscore--Ham insertion: jobs sorted by decreasing total work,
-    inserted one at a time at the makespan-minimising position.
+    inserted one at a time at the makespan-minimising position.  Each
+    step scores all its positions in one call: Taillard's heads and
+    tails on flow shops (O(n^2 m) in all), one ``evaluate_many`` over
+    the completed candidate orders on job shops, FJSP and open shops,
+    and one partial-order decode per candidate on hybrid flow shops.
 ``spt``
     shortest total processing time first (dispatch order).
 ``edd``
@@ -26,12 +30,14 @@ Rules
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Callable
 
 import numpy as np
 
 from ..scheduling.flexible import decode_hybrid_flowshop
-from ..scheduling.flowshop import flowshop_completion
+from ..scheduling.flowshop import (neh_heuristic, neh_insert,
+                                   neh_insertion_makespans)
 from ..scheduling.instance import (FlexibleFlowShopInstance,
                                    FlexibleJobShopInstance, FlowShopInstance)
 
@@ -86,35 +92,24 @@ def edd_order(due: np.ndarray) -> np.ndarray:
 
 
 def neh_order(durations: np.ndarray,
-              order_objective: Callable[[np.ndarray], float] | None = None
-              ) -> np.ndarray:
-    """NEH insertion order; ``order_objective`` scores partial job orders.
+              score_positions: Callable[[np.ndarray, int], np.ndarray]
+              | None = None) -> np.ndarray:
+    """NEH insertion order of the jobs of ``durations``.
 
-    The default objective treats ``durations`` as a permutation flow shop
-    and evaluates the partial makespan directly; problem-aware callers
-    (see :func:`heuristic_order`) pass their own evaluator so the same
-    insertion loop optimises hybrid flow shops or any genome-decodable
-    objective.
+    Jobs are taken by decreasing total work; ``score_positions(seq, job)``
+    returns the objective of inserting ``job`` at each of the
+    ``len(seq) + 1`` positions of the partial order ``seq`` (see
+    :func:`~repro.scheduling.flowshop.neh_insert`).  The default treats
+    ``durations`` as a permutation flow shop and scores each step with
+    Taillard's heads and tails; problem-aware callers (see
+    :func:`heuristic_order`) pass their own scorer so the same insertion
+    loop optimises hybrid flow shops or any genome-decodable objective.
     """
     p = np.asarray(durations, dtype=float)
-    if order_objective is None:
-        inst = FlowShopInstance(processing=p)
-
-        def order_objective(cand: np.ndarray) -> float:
-            c = flowshop_completion(inst, cand)
-            return float(c[-1, -1]) if c.size else 0.0
-
-    seed = np.argsort(-p.sum(axis=1), kind="stable")
-    seq: list[int] = []
-    for job in seed:
-        best_seq, best_val = None, np.inf
-        for pos in range(len(seq) + 1):
-            cand = seq[:pos] + [int(job)] + seq[pos:]
-            val = float(order_objective(np.asarray(cand, dtype=np.int64)))
-            if val < best_val:
-                best_seq, best_val = cand, val
-        seq = best_seq
-    return np.asarray(seq, dtype=np.int64)
+    if score_positions is None:
+        return neh_heuristic(FlowShopInstance(processing=p))
+    return neh_insert(np.argsort(-p.sum(axis=1), kind="stable"),
+                      score_positions)
 
 
 # -- problem-facing glue ------------------------------------------------------
@@ -144,55 +139,53 @@ def _stage_durations(instance: Any) -> np.ndarray:
         f"per-job stage durations")
 
 
-class _CountingEvaluator:
-    """Wrap an order objective, counting how often it is called."""
-
-    def __init__(self, fn: Callable[[np.ndarray], float]):
-        self.fn = fn
-        self.count = 0
-
-    def __call__(self, cand: np.ndarray) -> float:
-        self.count += 1
-        return self.fn(cand)
+def _insertions(base: np.ndarray, job: int, n_pos: int) -> np.ndarray:
+    """Row ``pos < n_pos`` is ``base`` with ``job`` inserted at ``pos``."""
+    col = np.arange(base.size + 1)
+    idx = col - (col > col[:n_pos, None])
+    np.fill_diagonal(idx, base.size)
+    return np.append(base, job)[idx]
 
 
-def _partial_order_objective(problem: Any) -> Callable[[np.ndarray], float]:
-    """Makespan of a *partial* job order for NEH's insertion loop.
+def _insertion_scorer(problem: Any
+                      ) -> Callable[[np.ndarray, int], np.ndarray]:
+    """Objectives of every insertion position of one NEH step.
 
-    Flow-shop-like instances evaluate the partial schedule natively
-    (their decoders accept any job subset); everything else completes
-    the order with the missing jobs in index order and evaluates the
-    full genome -- slower, but correct for any encoding.
+    Flow shops score a step with Taillard's heads and tails; hybrid flow
+    shops decode each partial candidate order on its own.  Every other
+    class completes the candidates with the missing jobs in index order
+    and scores all of them in one :meth:`Problem.evaluate_many` call,
+    which batch-decodes where the encoding has a batch path.
     """
     instance = problem.encoding.instance
     if isinstance(instance, FlowShopInstance):
-        def objective(cand: np.ndarray) -> float:
-            c = flowshop_completion(instance, cand)
-            return float(c[-1, -1]) if c.size else 0.0
-        return objective
+        return functools.partial(neh_insertion_makespans, instance)
     if isinstance(instance, FlexibleFlowShopInstance):
-        def objective(cand: np.ndarray) -> float:
-            return decode_hybrid_flowshop(instance, cand, None).makespan
-        return objective
+        def score(seq: np.ndarray, job: int) -> np.ndarray:
+            return np.array([
+                decode_hybrid_flowshop(instance, cand, None).makespan
+                for cand in _insertions(seq, job, seq.size + 1)])
+        return score
 
-    n = instance.n_jobs
-
-    def objective(cand: np.ndarray) -> float:
-        present = set(int(j) for j in cand)
-        full = np.concatenate([
-            np.asarray(cand, dtype=np.int64),
-            np.asarray([j for j in range(n) if j not in present],
-                       dtype=np.int64)])
-        return float(problem.evaluate(order_to_genome(problem, full)))
-    return objective
+    def score(seq: np.ndarray, job: int) -> np.ndarray:
+        placed = np.zeros(instance.n_jobs, dtype=bool)
+        placed[seq] = True
+        placed[job] = True
+        rest = np.flatnonzero(~placed)
+        orders = _insertions(np.concatenate([seq, rest]), job, seq.size + 1)
+        genomes = _order_matrix(problem.encoding, orders)
+        if genomes is None:
+            genomes = [order_to_genome(problem, o) for o in orders]
+        return problem.evaluate_many(genomes)
+    return score
 
 
 def heuristic_order(name: str, problem: Any) -> tuple[np.ndarray, int]:
     """Job order of rule ``name`` on ``problem``; returns (order, n_evals).
 
-    ``n_evals`` counts full/partial objective evaluations the rule spent
-    (0 for the closed-form dispatch rules, ``O(n^2)`` for NEH), which
-    the engine adapter reports as ``evaluations``.
+    ``n_evals`` counts the candidate orders the rule scored (0 for the
+    closed-form dispatch rules, ``n (n + 1) / 2`` insertion positions for
+    NEH), which the engine adapter reports as ``evaluations``.
     """
     instance = problem.encoding.instance
     rule = str(name).lower()
@@ -208,9 +201,9 @@ def heuristic_order(name: str, problem: Any) -> tuple[np.ndarray, int]:
             return johnson_order(durations), 0
         return _johnson_virtual(durations), 0
     if rule == "neh":
-        objective = _CountingEvaluator(_partial_order_objective(problem))
-        order = neh_order(durations, objective)
-        return order, objective.count
+        order = neh_order(durations, _insertion_scorer(problem))
+        # one evaluation per insertion position scored: 1 + 2 + ... + n
+        return order, order.size * (order.size + 1) // 2
     raise ValueError(
         f"unknown heuristic {name!r}; available: {list(HEURISTIC_NAMES)}")
 
@@ -226,28 +219,12 @@ def order_to_genome(problem: Any, order: np.ndarray) -> Any:
     # late imports: encodings import scheduling, heuristics imports both
     from ..encodings.assignment_sequence import (FlexibleJobShopEncoding,
                                                  HybridFlowShopEncoding)
-    from ..encodings.operation_based import OperationBasedEncoding
-    from ..encodings.permutation import (FlowShopPermutationEncoding,
-                                         OpenShopPairSequenceEncoding,
-                                         OpenShopPermutationEncoding)
-    from ..encodings.random_keys import RandomKeysFlowShopEncoding
 
     enc = problem.encoding
     order = np.asarray(order, dtype=np.int64)
-    if isinstance(enc, FlowShopPermutationEncoding):
-        return order
-    if isinstance(enc, RandomKeysFlowShopEncoding):
-        # keys whose stable ascending argsort reproduces the order
-        keys = np.empty(order.size, dtype=float)
-        keys[order] = np.arange(order.size, dtype=float) / max(1, order.size)
-        return keys
-    if isinstance(enc, OpenShopPermutationEncoding):
-        return np.tile(order, enc.instance.n_machines)
-    if isinstance(enc, OpenShopPairSequenceEncoding):
-        m = enc.instance.n_machines
-        return (order[:, None] * m + np.arange(m, dtype=np.int64)).ravel()
-    if isinstance(enc, OperationBasedEncoding):
-        return np.tile(order, enc.instance.n_stages)
+    rows = _order_matrix(enc, order[None, :])
+    if rows is not None:
+        return rows[0]
     if isinstance(enc, HybridFlowShopEncoding):
         instance = enc.instance
         if enc.use_assignment:
@@ -282,6 +259,38 @@ def order_to_genome(problem: Any, order: np.ndarray) -> Any:
         f"no heuristic genome mapping for encoding {type(enc).__name__}; "
         f"supported: permutation, random-keys, repetition, open-shop "
         f"pairs, and the flexible-shop composites")
+
+
+def _order_matrix(enc: Any, orders: np.ndarray) -> np.ndarray | None:
+    """Chromosome matrix of a (k, n_jobs) stack of job orders.
+
+    Covers the encodings whose genome is one flat row per order; returns
+    ``None`` for the flexible-shop composites.
+    """
+    from ..encodings.operation_based import OperationBasedEncoding
+    from ..encodings.permutation import (FlowShopPermutationEncoding,
+                                         OpenShopPairSequenceEncoding,
+                                         OpenShopPermutationEncoding)
+    from ..encodings.random_keys import RandomKeysFlowShopEncoding
+
+    if isinstance(enc, FlowShopPermutationEncoding):
+        return orders
+    if isinstance(enc, RandomKeysFlowShopEncoding):
+        # keys whose stable ascending argsort reproduces each order
+        n = orders.shape[1]
+        keys = np.empty(orders.shape, dtype=float)
+        np.put_along_axis(keys, orders,
+                          np.arange(n, dtype=float) / max(1, n), axis=1)
+        return keys
+    if isinstance(enc, OpenShopPermutationEncoding):
+        return np.tile(orders, (1, enc.instance.n_machines))
+    if isinstance(enc, OpenShopPairSequenceEncoding):
+        m = enc.instance.n_machines
+        return (orders[:, :, None] * m
+                + np.arange(m, dtype=np.int64)).reshape(len(orders), -1)
+    if isinstance(enc, OperationBasedEncoding):
+        return np.tile(orders, (1, enc.instance.n_stages))
+    return None
 
 
 def heuristic_genome(name: str, problem: Any) -> Any:

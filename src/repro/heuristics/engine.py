@@ -9,10 +9,10 @@ never a side-channel number.  The result is shaped like a ``GAResult``
 ``termination_reason``, ``extra``) and the facade normalises it like
 any GA engine.
 
-Heuristic engines are deterministic and finish in milliseconds, which
-is why their registry entries carry the ``heuristic=True`` tag: the
-solver service answers them inline (the fast tier) instead of paying a
-worker-pool round trip.
+Heuristic engines are deterministic and single-shot, which is why their
+registry entries carry the ``heuristic=True`` tag: the solver service
+answers them inline (the fast tier) instead of paying a worker-pool
+round trip.
 """
 
 from __future__ import annotations

@@ -14,9 +14,14 @@ Endpoints
     result), 400 on spec errors, 429 + ``Retry-After`` when the worker
     pool is saturated.  Engines tagged ``heuristic=True`` (``neh``,
     ``johnson``, ``spt``, ``edd``) take the *fast-answer tier*: the
-    deterministic millisecond solve runs inline and the response is an
-    immediate 200 with the finished result -- no worker-pool round trip,
-    no queue slot consumed.
+    deterministic single-shot solve runs inline on the event loop and
+    the response is an immediate 200 with the finished result -- no
+    worker-pool round trip, no queue slot consumed.  NEH takes tens of
+    milliseconds on the library's flow and job shops (one scoring call
+    per insertion step); LPT-decoded open shops and hybrid flow shops
+    still score each candidate on its own (``ta-os-20x20-shaped``:
+    ~0.7 s).  Nothing caps the instance size, and the loop waits for
+    the whole solve.
 ``POST /sweep``
     body = a :class:`~repro.api.ScenarioSweep` JSON dict; expands,
     deduplicates, submits every spec.  All-or-nothing admission: 429 when
@@ -176,9 +181,12 @@ class SolverServer:
             return job, False
         if self._is_heuristic(spec.engine):
             # fast-answer tier: constructive heuristics are deterministic
-            # millisecond solves, so running them inline (and answering
+            # single-shot solves, so running them inline (and answering
             # POST /solve with the finished result) beats paying a worker
-            # process round trip; the pool stays free for real GA runs
+            # process round trip; the pool stays free for real GA runs.
+            # The event loop blocks for the whole solve: tens of ms for
+            # NEH on flow and job shops, ~0.7 s on ta-os-20x20-shaped,
+            # and nothing caps the instance size
             self._run_inline(job)
             return job, True
         try:

@@ -1,4 +1,4 @@
-"""Transcriptions of the per-pair scalar variation code the kernels replaced.
+"""Transcriptions of the per-candidate scalar code the kernels replaced.
 
 The scalar crossovers and mutations that have a batch kernel are now
 that kernel on a one-row block, and the object substrate varies a whole
@@ -10,6 +10,10 @@ every generation must equal them in results and in RNG state.
 operator (composites recurse into their parts; operators without a
 transcription -- LOX, CX, scramble, third-party ones -- are their own
 reference, since they were never replaced).
+
+``neh_reference(problem)`` is NEH as it was before each insertion step
+became one scoring call: every candidate order is built and decoded on
+its own, and every decode is counted.
 """
 
 import numpy as np
@@ -23,6 +27,9 @@ from repro.operators import (ArithmeticCrossover, AssignmentMutation,
                              OrderCrossover, ParameterizedUniformCrossover,
                              PMXCrossover, ShiftMutation, SwapMutation,
                              UniformCrossover, repair_to_multiset)
+from repro.heuristics.constructive import _stage_durations, order_to_genome
+from repro.scheduling import (FlexibleFlowShopInstance, FlowShopInstance,
+                              decode_hybrid_flowshop, flowshop_completion)
 
 
 def _counts(parent):
@@ -309,3 +316,63 @@ def breed_cells(cga):
     """The synchronous step's offspring: one ``breed_cell`` per cell."""
     return [breed_cell(cga, r, c) for r in range(cga.rows)
             for c in range(cga.cols)]
+
+
+# -- NEH ----------------------------------------------------------------------
+
+def neh_loop(durations, order_objective):
+    """NEH insertion with one ``order_objective`` call per candidate.
+
+    Returns ``(order, n_calls)``; the first minimum wins.
+    """
+    p = np.asarray(durations, dtype=float)
+    seed = np.argsort(-p.sum(axis=1), kind="stable")
+    seq = []
+    calls = 0
+    for job in seed:
+        best_seq, best_val = None, np.inf
+        for pos in range(len(seq) + 1):
+            cand = seq[:pos] + [int(job)] + seq[pos:]
+            val = float(order_objective(np.asarray(cand, dtype=np.int64)))
+            calls += 1
+            if val < best_val:
+                best_seq, best_val = cand, val
+        seq = best_seq
+    return np.asarray(seq, dtype=np.int64), calls
+
+
+def flowshop_partial_makespan(instance, cand):
+    """Makespan of a partial flow-shop order, decoded from scratch."""
+    c = flowshop_completion(instance, cand)
+    return float(c[-1, -1]) if c.size else 0.0
+
+
+def partial_order_objective(problem):
+    """Objective of one partial job order, as NEH scored it per candidate.
+
+    Flow shops and hybrid flow shops decode the partial order natively;
+    every other class completes it with the missing jobs in index order
+    and evaluates the full genome.
+    """
+    instance = problem.encoding.instance
+    if isinstance(instance, FlowShopInstance):
+        return lambda cand: flowshop_partial_makespan(instance, cand)
+    if isinstance(instance, FlexibleFlowShopInstance):
+        return lambda cand: decode_hybrid_flowshop(
+            instance, cand, None).makespan
+    n = instance.n_jobs
+
+    def objective(cand):
+        present = set(int(j) for j in cand)
+        full = np.concatenate([
+            np.asarray(cand, dtype=np.int64),
+            np.asarray([j for j in range(n) if j not in present],
+                       dtype=np.int64)])
+        return float(problem.evaluate(order_to_genome(problem, full)))
+    return objective
+
+
+def neh_reference(problem):
+    """``heuristic_order("neh", problem)`` as a per-candidate loop."""
+    return neh_loop(_stage_durations(problem.encoding.instance),
+                    partial_order_objective(problem))

@@ -43,7 +43,7 @@ BASELINES = {
     # decode itself runs entirely on the active namespace (the
     # instrumented-backend conformance sweep pins instrumented == numpy)
     "src/repro/scheduling/batch.py": 71,
-    "src/repro/scheduling/flowshop.py": 24,
+    "src/repro/scheduling/flowshop.py": 23,
     # 31 -> 12: signatures annotate through the module's Array /
     # Generator aliases
     "src/repro/core/substrate.py": 12,
