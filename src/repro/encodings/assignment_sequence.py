@@ -34,6 +34,12 @@ class FlexibleJobShopEncoding:
     def __init__(self, instance: FlexibleJobShopInstance):
         self.instance = instance
 
+    @property
+    def part_spans(self) -> tuple[int, ...]:
+        """Column widths of the parts in a stacked chromosome row."""
+        n_ops = self.instance.total_operations
+        return (n_ops, n_ops)
+
     def random_genome(self, rng: np.random.Generator
                       ) -> tuple[np.ndarray, np.ndarray]:
         return fjsp_random_genome(self.instance, rng)

@@ -19,14 +19,12 @@ Section I).  Implemented hybrids and their sources:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Any, Sequence
+from dataclasses import replace
 
 import numpy as np
 
 from ..core.backend import active_namespace as _xp
 from ..core.ga import GAConfig
-from ..core.individual import Individual
 from ..core.observers import HistoryRecorder
 from ..core.population import Population
 from ..core.rng import spawn_rngs
@@ -34,7 +32,9 @@ from ..core.termination import MaxGenerations, Termination, TerminationState
 from ..encodings.base import Problem
 from .fine_grained import CellularGA
 from .island import IslandGA, IslandGAResult, epoch_length
-from .migration import MigrationPolicy, integrate_immigrants, select_emigrants
+from .migration import (MigrationPolicy, integrate_immigrant_rows,
+                        integrate_immigrants, select_emigrant_rows,
+                        select_emigrants)
 from .topology import RingTopology, Topology, TorusTopology
 
 __all__ = ["IslandOfCellularGA", "island_with_torus_topology",
@@ -119,52 +119,43 @@ class IslandOfCellularGA:
                                     self.state.elapsed())
 
     def _migrate(self, epoch: int) -> None:
-        if self.substrate == "array":
-            self._migrate_arrays(epoch)
-            return
-        boxes: dict[int, list[Individual]] = {i: [] for i in range(self.n_islands)}
-        for i in range(self.n_islands):
-            for tgt in self.topology.neighbors_out(i, epoch):
-                boxes[tgt].extend(select_emigrants(
-                    self.islands[i].population, self.migration,
-                    self._migration_rng))
-        for tgt, immigrants in boxes.items():
-            if not immigrants:
-                continue
-            isl = self.islands[tgt]
-            # replace worst cells of the grid
-            cells = [(r, c) for r in range(isl.rows) for c in range(isl.cols)]
-            cells.sort(key=lambda rc: isl.grid[rc[0]][rc[1]].objective,
-                       reverse=True)
-            for (r, c), ind in zip(cells, immigrants):
-                isl.grid[r][c] = ind.copy()
+        """Ring exchange: each island's emigrants replace the worst cells
+        of its targets.
 
-    def _migrate_arrays(self, epoch: int) -> None:
-        """Array-substrate ring exchange: emigrant rows gathered per edge,
-        scattered over the worst cells of each target grid.
-
-        The object path always displaces the worst cells regardless of
-        ``MigrationPolicy.replacement``; pin the same semantics here so
-        the two substrates agree on search behaviour.
+        Immigrants always displace the worst cells, whatever
+        ``MigrationPolicy.replacement`` says; both substrates integrate
+        through the same target rule
+        (:func:`~repro.parallel.migration.replacement_targets`), so they
+        break ties alike.  On the array substrate the exchange is row
+        gather/scatter on the shared tensor.
         """
-        from dataclasses import replace
-        from .migration import integrate_immigrant_rows, select_emigrant_rows
-        integrate_policy = replace(self.migration, replacement="worst")
+        integrate = replace(self.migration, replacement="worst")
+        arrays = self.substrate == "array"
         shipments: dict[int, list] = {i: [] for i in range(self.n_islands)}
         for i in range(self.n_islands):
+            source = self.islands[i]
             for tgt in self.topology.neighbors_out(i, epoch):
-                shipments[tgt].append(select_emigrant_rows(
-                    self.islands[i].grid_state, self.migration,
-                    self._migration_rng))
+                shipments[tgt].append(
+                    select_emigrant_rows(source.grid_state, self.migration,
+                                         self._migration_rng) if arrays
+                    else select_emigrants(source.population, self.migration,
+                                          self._migration_rng))
         for tgt, ship in shipments.items():
             if not ship:
                 continue
-            xp = _xp()
-            rows = xp.concatenate([r for r, _ in ship])
-            objs = xp.concatenate([o for _, o in ship])
-            integrate_immigrant_rows(self.islands[tgt].grid_state, rows,
-                                     objs, integrate_policy,
-                                     self._migration_rng)
+            isl = self.islands[tgt]
+            if arrays:
+                xp = _xp()
+                integrate_immigrant_rows(
+                    isl.grid_state, xp.concatenate([r for r, _ in ship]),
+                    xp.concatenate([o for _, o in ship]), integrate,
+                    self._migration_rng)
+                continue
+            cells = isl.population
+            integrate_immigrants(cells, [ind for box in ship for ind in box],
+                                 integrate, self._migration_rng)
+            isl.grid = [cells.members[r * isl.cols:(r + 1) * isl.cols]
+                        for r in range(isl.rows)]
 
     def run(self) -> IslandGAResult:
         for isl in self.islands:
@@ -298,7 +289,6 @@ class TwoLevelIslandGA:
 
     def _broadcast_arrays(self) -> None:
         """Array-substrate broadcast: best rows gathered, worst replaced."""
-        from .migration import integrate_immigrant_rows
         inner = self.inner
         xp = _xp()
         states = [inner.islands[i].arrays for i in inner._active]

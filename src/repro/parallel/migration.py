@@ -25,7 +25,8 @@ from ..core.population import Population
 from ..core.substrate import ArrayState, stable_topk
 
 __all__ = ["MigrationPolicy", "select_emigrants", "integrate_immigrants",
-           "select_emigrant_rows", "integrate_immigrant_rows"]
+           "replacement_targets", "select_emigrant_rows",
+           "integrate_immigrant_rows"]
 
 
 @dataclass(frozen=True)
@@ -88,6 +89,20 @@ def select_emigrants(population: Population, policy: MigrationPolicy,
     return [ind.copy() for ind in chosen]
 
 
+def replacement_targets(objectives: np.ndarray, k: int,
+                        policy: MigrationPolicy,
+                        rng: np.random.Generator) -> np.ndarray:
+    """Positions of the ``k`` hosts that immigrants displace, in order.
+
+    ``worst`` takes the ``k`` largest objectives, worst first; ``random``
+    draws ``k`` distinct positions.  Both substrates integrate through
+    this one rule, so they break ties alike.
+    """
+    if policy.replacement == "worst":
+        return np.argsort(objectives)[::-1][:k]  # argsort: best first
+    return rng.choice(len(objectives), size=k, replace=False)
+
+
 def integrate_immigrants(population: Population,
                          immigrants: list[Individual],
                          policy: MigrationPolicy,
@@ -101,14 +116,8 @@ def integrate_immigrants(population: Population,
     """
     if not immigrants:
         return
-    n = len(population)
-    k = min(len(immigrants), n)
-    immigrants = immigrants[:k]
-    if policy.replacement == "worst":
-        order = np.argsort(population.objectives())  # ascending: best first
-        targets = order[::-1][:k]
-    else:
-        targets = rng.choice(n, size=k, replace=False)
+    k = min(len(immigrants), len(population))
+    targets = replacement_targets(population.objectives(), k, policy, rng)
     for ind, pos in zip(immigrants, targets):
         population[int(pos)] = ind.copy() if policy.copy else ind
 
@@ -147,14 +156,9 @@ def integrate_immigrant_rows(state: ArrayState, rows: np.ndarray,
     """Array twin of :func:`integrate_immigrants`: in-place row scatter."""
     if rows.shape[0] == 0:
         return
-    n = len(state)
-    k = min(rows.shape[0], n)
+    k = min(rows.shape[0], len(state))
     rows, objectives = rows[:k], objectives[:k]
-    if policy.replacement == "worst":
-        order = np.argsort(state.objectives)  # ascending: best first
-        targets = order[::-1][:k]
-    else:
-        targets = rng.choice(n, size=k, replace=False)
+    targets = replacement_targets(state.objectives, k, policy, rng)
     state.matrix[targets] = rows
     state.objectives[targets] = objectives
     state.touch()

@@ -308,8 +308,14 @@ class TestHeuristicEnginesAndSeeding:
             report.schedule().audit(report.problem.encoding.instance)
             assert report.extra.get("substrate") == "array"
 
-    def test_fjsp_composite_stays_gated_on_array_substrate(self):
-        from repro.api.registry import SpecError
-        with pytest.raises(SpecError, match="composite"):
-            solve(SolverSpec(instance="fjsp-8x5-shaped", substrate="array",
-                             termination={"max_generations": 2}))
+    def test_fjsp_composite_runs_on_array_substrate(self):
+        # the FJSP publishes part_spans, so its composite genome takes
+        # the array substrate and gives the object substrate's result
+        reports = [solve(SolverSpec(instance="fjsp-8x5-shaped",
+                                    substrate=substrate, seed=4,
+                                    ga={"population_size": 16},
+                                    termination={"max_generations": 4}))
+                   for substrate in ("object", "array")]
+        assert reports[0].best_objective == reports[1].best_objective
+        for a, b in zip(*(r.best_genome for r in reports)):
+            assert np.array_equal(a, b)
