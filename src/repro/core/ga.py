@@ -39,6 +39,7 @@ from ..encodings.base import Problem
 from ..operators.crossover import Crossover, default_crossover_for
 from ..operators.mutation import Mutation, default_mutation_for
 from ..operators.selection import Selection, RouletteWheelSelection
+from ..operators.stages import Stage, value
 from .backend import active_namespace as _xp
 from .fitness import FitnessTransform, HeuristicOffsetFitness, apply_fitness
 from .individual import Individual, copy_genome
@@ -48,7 +49,7 @@ from .rng import make_rng
 from .substrate import (SUBSTRATES, ArrayPopulationView, ArrayState, Brood,
                         check_array_support, elitist_merge_arrays,
                         elitist_merge_rows, make_offspring_matrix,
-                        random_matrix, takes_arrays, vary_broods)
+                        random_matrix, vary_broods)
 from .termination import MaxGenerations, Termination, TerminationState
 
 __all__ = ["GAConfig", "GAResult", "SimpleGA", "Evaluator", "lockstep"]
@@ -81,12 +82,11 @@ class GAConfig:
         replacement* of Akhshabi et al. [18] (only the bred fraction can
         displace parents, the rest survive unchanged).
     substrate:
-        ``"object"`` (default) keeps the population as ``Individual``
-        objects; ``"array"`` keeps it as a ``(pop, n_genes)`` chromosome
-        matrix (see :mod:`repro.core.substrate`).  Both breed through the
-        same matrix kernels, so a run gives the same result on either;
-        only the object substrate takes inputs without batch twins or a
-        fixed row layout.
+        ``"object"`` (default) evolves ``Individual`` objects with
+        per-genome operator calls; ``"array"`` keeps the population as a
+        ``(pop, n_genes)`` chromosome matrix and runs every stage as a
+        matrix kernel (see :mod:`repro.core.substrate`).  The object
+        substrate's behaviour is bit-for-bit unchanged by this knob.
     seeding:
         name of a constructive heuristic (``"neh"``, ``"johnson"``,
         ``"spt"``, ``"edd"``; see :mod:`repro.heuristics`) whose solution
@@ -215,7 +215,6 @@ class SimpleGA:
         self.arrays: ArrayState | None = None
         if self.substrate == "array":
             check_array_support(problem, self.config)
-        self._breeds_rows = takes_arrays(problem, self.config)
 
     # -- building blocks ---------------------------------------------------------
     def _seed_genomes(self) -> list:
@@ -337,50 +336,36 @@ class SimpleGA:
         """Selection + crossover + mutation producing ``count`` offspring.
 
         Shared by the serial loop, the master-slave engine and the island
-        engine (each island calls it on its own subpopulation).  The
-        population is stacked into a chromosome matrix and bred as rows
-        (:func:`~repro.core.substrate.make_offspring_matrix`), so an
-        object generation makes the array generation's draws and gives
-        its offspring.  Inputs the rows cannot take breed pair by pair.
-        """
-        matrix = None
-        if self._breeds_rows:
-            matrix = self.problem.stack_genomes(
-                [ind.genome for ind in population])
-        if matrix is None:
-            return self._breed_pairs(population, count)
-        rows = make_offspring_matrix(
-            ArrayState(matrix, population.objectives()), self.config,
-            self.problem, self.rng, count)
-        return [Individual.from_row(self.problem, row) for row in rows]
-
-    def _breed_pairs(self, population: Population,
-                     count: int) -> list[Individual]:
-        """:meth:`make_offspring` as calls of the operators themselves.
-
-        For operators without a batch twin and genomes that do not stack;
-        the draws come in the stage order of
-        :class:`~repro.core.substrate.Brood`.
+        engine (each island calls it on its own subpopulation).  Every
+        draw comes pair by pair (gate, then crossover) and child by child
+        (gate, then mutation), followed by the immigrants; the crossovers
+        and the mutations then run as one kernel call each
+        (:class:`~repro.operators.stages.Stage`), which gives the same
+        offspring as calling the operators pair by pair.
         """
         cfg = self.config
         rng = self.rng
+        apply_fitness(population.members, cfg.fitness_transform)
         n_immigrants = int(round(cfg.immigration_rate * count))
         n_bred = count - n_immigrants
+        parents = cfg.selection(population, n_bred + (n_bred % 2), rng)
+        cross = Stage(cfg.crossover, children=2)
         genomes: list = []
-        if n_bred > 0:
-            apply_fitness(population.members, cfg.fitness_transform)
-            parents = [ind.genome for ind in cfg.selection(
-                population, n_bred + (n_bred % 2), rng)]
-            gates = rng.random(len(parents) // 2) < cfg.crossover_rate
-            for gate, ga, gb in zip(gates, parents[0::2], parents[1::2]):
-                genomes.extend(cfg.crossover(ga, gb, rng) if gate
-                               else (copy_genome(ga), copy_genome(gb)))
-            gates = rng.random(n_bred) < cfg.mutation_rate
-            genomes = [cfg.mutation(g, rng) if gate else g
-                       for gate, g in zip(gates, genomes[:n_bred])]
+        for i in range(0, len(parents) - 1, 2):
+            ga, gb = parents[i].genome, parents[i + 1].genome
+            if rng.random() < cfg.crossover_rate:
+                genomes.extend(cross.add(rng, ga, gb))
+            else:
+                genomes.extend((copy_genome(ga), copy_genome(gb)))
+        cross.run()
+        mutate = Stage(cfg.mutation)
+        genomes = [mutate.add(rng, value(g))
+                   if rng.random() < cfg.mutation_rate else g
+                   for g in genomes[:n_bred]]
         genomes.extend(self.problem.random_genome(rng)
                        for _ in range(n_immigrants))
-        return [Individual(g) for g in genomes]
+        mutate.run()
+        return [Individual(value(g)) for g in genomes]
 
     @property
     def brood_sizes(self) -> tuple[int, int]:

@@ -1,8 +1,9 @@
 """The array-native generation substrate.
 
-The object substrate (the default) keeps its population as a list of
-:class:`~repro.core.individual.Individual`.  This module implements the
-second substrate the GPU/island follow-ups of the survey are built on (Luo & El
+The object substrate (the default) evolves a list of
+:class:`~repro.core.individual.Individual`; every variation operator is
+called per genome or per parent pair.  This module implements the second
+substrate the GPU/island follow-ups of the survey are built on (Luo & El
 Baz, arXiv:1903.10722 / 1903.10741): the population lives as one
 ``(pop, n_genes)`` chromosome matrix with a parallel ``(pop,)``
 objectives vector, and a whole generation -- selection, crossover,
@@ -24,19 +25,11 @@ one matrix and merges with a row-wise top-k over the stacked objectives
 (:func:`elitist_merge_rows`) -- the same results as stepping each island
 alone.
 
-The object substrate breeds through the same :class:`Brood`: it stacks
-its population into a matrix, varies it here and boxes the rows back
-into ``Individual`` objects.  Both substrates therefore consume one draw
-schedule, and object and array runs are bit-identical at every rate.
-Only inputs a :class:`Brood` cannot take keep a per-pair loop on the
-object substrate (:func:`takes_arrays` is false, or the genomes do not
-stack): operators without a batch twin and genomes without a fixed row
-layout.
-
 Conformance contract (see ``tests/test_substrate.py``): closure per
-batch operator, exact equality with the object substrate at every
-crossover/mutation rate under a shared seed, and quality parity on a
-fixed ta-style scenario.
+batch operator, *exact* equality with the object substrate at the
+crossover/mutation rate extremes under a shared RNG, and quality parity
+on a fixed ta-style scenario -- per-draw bit-identity at intermediate
+rates is out of scope because batching reorders the RNG stream.
 """
 
 from __future__ import annotations
@@ -59,7 +52,7 @@ Generator = np.random.Generator
 __all__ = [
     "SUBSTRATES", "available_substrates",
     "ArrayState", "GridState", "ArrayPopulationView",
-    "check_array_support", "takes_arrays", "stable_topk",
+    "check_array_support", "stable_topk",
     "Brood", "vary_broods", "make_offspring_matrix",
     "elitist_merge_rows", "elitist_merge_arrays", "random_matrix",
 ]
@@ -85,9 +78,11 @@ def check_array_support(problem: Any, config: Any,
     """Raise ``ValueError`` when ``problem``/``config`` cannot run array-native.
 
     Checks the genome kind (single fixed-length array, or a composite
-    whose encoding publishes ``part_spans`` column widths) and that every
-    resolved operator has a registered batch twin.  ``config`` must be a
-    resolved :class:`~repro.core.ga.GAConfig` (operators filled in).
+    whose encoding publishes ``part_spans`` column widths), that every
+    resolved operator has a registered batch twin (a composite's parts
+    included) and that no assignment part meets a repairing crossover.
+    ``config`` must be a resolved :class:`~repro.core.ga.GAConfig`
+    (operators filled in).
     ``selection=False`` skips the selection twin -- the cellular engines
     never call ``config.selection`` (mate choice is the neighbourhood
     tournament), so a custom selection without a batch twin must not
@@ -106,19 +101,13 @@ def check_array_support(problem: Any, config: Any,
         batch_selection_for(config.selection)
     batch_crossover_for(config.crossover)
     batch_mutation_for(config.mutation)
-
-
-def takes_arrays(problem: Any, config: Any, selection: bool = True) -> bool:
-    """Whether :func:`check_array_support` accepts ``problem``/``config``.
-
-    The object substrate breeds through a :class:`Brood` exactly when
-    this holds (and its genomes stack); otherwise it breeds pair by pair.
-    """
-    try:
-        check_array_support(problem, config, selection)
-    except ValueError:
-        return False
-    return True
+    part_kinds = getattr(problem.encoding, "part_kinds", ())
+    for kind, op in zip(part_kinds, getattr(config.crossover, "parts", ())):
+        if kind == "assignment" and getattr(op, "repair", False):
+            raise ValueError(
+                f"a repairing {type(op).__name__} on an assignment part "
+                f"would move machine indices between operations (out of "
+                f"their domains where those differ); pass repair=False")
 
 
 def stable_topk(values: Array, k: int) -> Array:
@@ -335,8 +324,8 @@ class Brood:
     """One population's offspring for one generation, bred in stages.
 
     Construction makes the generation's first draws on the population's
-    own RNG, in stage order: fitness, selection, crossover gates,
-    crossover draws, mutation gates.
+    own RNG, in the object substrate's stage order: fitness, selection,
+    crossover gates, crossover draws, mutation gates.
     :func:`vary_broods` then runs the crossover kernels, makes each
     brood's mutation draws and immigrants (the rest of the stage order)
     and runs the mutation kernels.  Kernels never draw, so the broods of
@@ -461,9 +450,10 @@ def make_offspring_matrix(state: ArrayState, config: Any, problem: Any,
                           rng: Generator, count: int) -> Array:
     """Selection + crossover + mutation + immigration, all as matrices.
 
-    Returns the ``(count, n_genes)`` offspring matrix (unevaluated); a
-    :class:`Brood` of one population.  ``SimpleGA.make_offspring`` runs
-    it on the stacked object population too.
+    The array twin of ``SimpleGA.make_offspring``: same stage order, same
+    rate arithmetic, same number of gate draws -- only the per-pair
+    operator applications are batched.  Returns the ``(count, n_genes)``
+    offspring matrix (unevaluated); a :class:`Brood` of one population.
     """
     return vary_broods([Brood(state, config, problem, rng, count)])[0]
 

@@ -164,12 +164,11 @@ def e18_defersha_fjsp_sdst(scale: str = "small") -> ExperimentResult:
             setup_hi=12)
         encoding = FlexibleJobShopEncoding(instance)
         problem = Problem(encoding)
-        spans = encoding.part_spans
         xover = CompositeCrossover([UniformCrossover(repair=False),
-                                    OrderCrossover()], spans)
+                                    OrderCrossover()])
         mut = CompositeMutation([
             AssignmentMutation(encoding.assignment_domain_sizes(), rate=0.2),
-            SwapMutation()], spans)
+            SwapMutation()])
         cfg = GAConfig(population_size=pop, crossover=xover, mutation=mut,
                        selection=TournamentSelection(2), mutation_rate=0.3)
         # [36] compares within "the allowable computational time" on a
@@ -218,14 +217,11 @@ def e19_belkadi_parameters(scale: str = "small") -> ExperimentResult:
     pop = max(32, sc.pop)
     gens = max(40, sc.generations)
 
-    spans = problem.encoding.part_spans
-
     def config(p):
         return GAConfig(population_size=p,
                         crossover=CompositeCrossover(
-                            [None, OrderCrossover()], spans),
-                        mutation=CompositeMutation([None, SwapMutation()],
-                                                   spans),
+                            [None, OrderCrossover()]),
+                        mutation=CompositeMutation([None, SwapMutation()]),
                         selection=TournamentSelection(2), mutation_rate=0.3)
 
     rows = []
@@ -313,17 +309,14 @@ def e20_rashidi_weighted_islands(scale: str = "small") -> ExperimentResult:
                                               use_assignment=False),
                        objective=objective)
 
-    spans = HybridFlowShopEncoding(instance,
-                                   use_assignment=False).part_spans
-
     def build(local_search):
         return WeightedIslandMOGA(
             factory, n_islands=4,
             config=GAConfig(population_size=max(10, sc.pop // 2),
                             crossover=CompositeCrossover(
-                                [None, OrderCrossover()], spans),
+                                [None, OrderCrossover()]),
                             mutation=CompositeMutation(
-                                [None, SwapMutation()], spans),
+                                [None, SwapMutation()]),
                             selection=TournamentSelection(2),
                             mutation_rate=0.3),
             termination=MaxGenerations(max(20, sc.generations)),

@@ -23,19 +23,21 @@ Three conformance contracts hold throughout (pinned by
 * **closure** -- every batch crossover/mutation preserves each row's
   multiset (and hence permutation validity) exactly as its scalar twin
   does;
-* **kernel equality** -- a scalar operator with a twin here *is* the
-  twin's draw and kernel on a one-row block
-  (:class:`~repro.operators.crossover.KernelCrossover`), so each
-  operator has one draw; the tests pin the OX, PMX and JOX kernels
-  against transcriptions of their former scalar loops, and
-  ``batch_repair_to_multiset`` against the scalar repair;
+* **kernel equality** -- a scalar operator with a twin here *is* its
+  kernel on a one-row block, after a per-pair draw of the same cut
+  points / masks (:class:`~repro.operators.crossover.KernelCrossover`);
+  the tests pin each against a transcription of its former scalar loop,
+  and ``batch_repair_to_multiset`` against the scalar repair;
 * **selection stream equality** -- the batch selections consume the RNG
   with exactly the same calls as their scalar twins and return the same
-  choices (as index arrays instead of ``Individual`` lists).
+  choices (as index arrays instead of ``Individual`` lists), which is
+  what makes the array substrate's rate-0 generations *exactly* equal to
+  the object substrate's under a shared RNG.
 
-Both substrates vary a generation through these twins
-(:class:`~repro.core.substrate.Brood`), so object and array runs are
-equal at every rate (see ``docs/architecture.md``, "Two substrates").
+The array substrate's *parameter drawing* is vectorised (one call for
+all rows), so it is distribution-equivalent but not stream-identical to
+the per-pair draws of the scalar operators -- the documented limit of
+array conformance (see ``docs/architecture.md``, "Two substrates").
 
 Dispatch is by operator class: :func:`batch_selection_for` /
 :func:`batch_crossover_for` / :func:`batch_mutation_for` map a
@@ -622,8 +624,9 @@ def _draw_assignment(op: AssignmentMutation, X: Array,
                      rng: Generator) -> tuple[Array, Array]:
     """Mutated-gene mask plus the redrawn values in row-major mask order.
 
-    Gene ``j`` belongs to domain ``domain_sizes[j % len(domain_sizes)]``;
-    the redraw is one vectorised call.
+    Gene ``j`` belongs to domain ``domain_sizes[j % len(domain_sizes)]``,
+    the same modulo the scalar operator applies; the redraw itself is
+    vectorised (distribution-equivalent, like every batch mutation).
     """
     xp = _xp()
     mask = rng.random(X.shape) < op.rate
@@ -686,8 +689,8 @@ def _batch_composite_mutation(op: CompositeMutation, X: Array,
 # -- batch selections ------------------------------------------------------------
 #
 # Contract: identical RNG calls to the scalar operator, returning the
-# chosen *indices* instead of Individual references, so a selection
-# behaves the same whether a generation breeds as rows or pair by pair.
+# chosen *indices* instead of Individual references.  This is what makes
+# rate-0 array generations exactly reproduce object generations.
 
 def register_batch_selection(scalar_cls: type):
     """Register ``fn(op, fitness, objectives, k, rng) -> idx`` as twin."""

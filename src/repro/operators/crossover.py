@@ -28,15 +28,19 @@ repetition-safe ones accept any multiset and preserve it exactly (tested
 property: multiset closure).
 
 Every operator with a row-wise kernel in :mod:`repro.operators.batch`
-is a :class:`KernelCrossover`: its call is its batch twin's draw plus
-the twin's kernel on a one-row block, so the operator has one draw and
-no scalar child loop of its own.  Multi-dimensional genomes reach the
-kernel flattened in row-major order.
+is a :class:`KernelCrossover`: a per-pair :meth:`~KernelCrossover.draw`
+makes the operator's RNG calls, and the call is that draw plus the
+kernel on a one-row block -- the operator has no scalar child loop of
+its own.  Because the draw is split from the kernel, the object
+substrate draws pair by pair and varies a whole generation with one
+kernel call (:mod:`repro.operators.stages`).  Multi-dimensional genomes
+reach the kernel flattened in row-major order.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+import copy
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -65,41 +69,69 @@ Crossover = Callable[[np.ndarray, np.ndarray, np.random.Generator],
 
 
 class KernelCrossover:
-    """A crossover that is its batch twin on a one-row block.
+    """A crossover that is a per-pair draw plus a row-wise batch kernel.
 
-    The call runs the draw and the kernel that the subclass registers in
-    :mod:`repro.operators.batch` on the one-row blocks of the two
-    parents.  ``dtype`` is the dtype parents reach the kernel in
-    (``None``: their own).
+    Subclasses implement :meth:`draw`; the call runs the kernel their
+    class registers in :mod:`repro.operators.batch` on the one-row
+    blocks of the two parents.  ``dtype`` is the dtype parents reach the
+    kernel in (``None``: their own).
     """
 
     dtype: type | None = None
 
-    def kernel_input(self, genome: np.ndarray) -> np.ndarray:
-        """``genome`` as the kernel reads it."""
-        return np.asarray(genome, dtype=self.dtype)
+    def kernel_input(self, genome: np.ndarray
+                     ) -> tuple["KernelCrossover", np.ndarray]:
+        """``(operator, array)``: the operator whose kernel reproduces
+        this one on ``genome``, and the genome as that kernel reads it."""
+        return self, np.asarray(genome, dtype=self.dtype)
+
+    def draw(self, a: np.ndarray, b: np.ndarray,
+             rng: np.random.Generator) -> Any:
+        """Kernel params for the pair ``(a, b)`` as a one-row block.
+
+        Makes exactly this operator's RNG calls for one pair; ``a`` and
+        ``b`` come as :meth:`kernel_input` returns them.
+        """
+        raise NotImplementedError
 
     def __call__(self, a, b, rng):
-        from .batch import batch_crossover_for
-        a, b = self.kernel_input(a), self.kernel_input(b)
-        child_a, child_b = batch_crossover_for(self)(
-            a.reshape(1, -1), b.reshape(1, -1), rng)
+        from .batch import split_crossover_for
+        op, a = self.kernel_input(a)
+        b = self.kernel_input(b)[1]
+        params = self.draw(a, b, rng)
+        child_a, child_b = split_crossover_for(op).kernel(
+            op, a.reshape(1, -1), b.reshape(1, -1), params)
         return child_a.reshape(a.shape), child_b.reshape(b.shape)
+
+
+def _draw_segment(n: int, rng: np.random.Generator):
+    """One pair's segment ``[lo, hi)`` of at least two genes (OX, PMX)."""
+    if n < 2:
+        return None
+    pair = rng.choice(n, size=2, replace=False)
+    pair.sort()
+    return pair[:1], pair[1:] + 1
 
 
 class _Repairing(KernelCrossover):
     """Exchange crossovers whose children are repaired to A's multiset.
 
-    Integer genomes reach the kernel as int64 when ``repair`` is on.
+    The object rule repairs 1-D integer genomes only, into int64; the
+    kernel repairs every integer row, so a multi-dimensional integer
+    genome runs through a repair-free copy of the operator.
     """
 
     repair: bool
 
     def kernel_input(self, genome):
         a = np.asarray(genome)
-        if self.repair and np.issubdtype(a.dtype, np.integer):
-            return a.astype(np.int64, copy=False)
-        return a
+        if not (self.repair and np.issubdtype(a.dtype, np.integer)):
+            return self, a
+        if a.ndim == 1:
+            return self, a.astype(np.int64, copy=False)
+        plain = copy.copy(self)
+        plain.repair = False
+        return plain, a
 
 
 class NPointCrossover(_Repairing):
@@ -111,6 +143,15 @@ class NPointCrossover(_Repairing):
         self.points = points
         self.repair = repair
 
+    def draw(self, a, b, rng):
+        """Sorted cut positions in ``1 .. n-1`` over the flattened genome."""
+        n = a.size
+        if n < 2:
+            return None
+        k = min(self.points, n - 1)
+        return np.sort(rng.choice(np.arange(1, n), size=k,
+                                  replace=False)).reshape(1, -1)
+
 
 class UniformCrossover(_Repairing):
     """Uniform crossover (gene-wise coin flips) with multiset repair."""
@@ -120,6 +161,9 @@ class UniformCrossover(_Repairing):
             raise ValueError("swap_prob must be in [0, 1]")
         self.swap_prob = swap_prob
         self.repair = repair
+
+    def draw(self, a, b, rng):
+        return (rng.random(a.shape) < self.swap_prob).reshape(1, -1)
 
 
 class ParameterizedUniformCrossover(KernelCrossover):
@@ -137,6 +181,9 @@ class ParameterizedUniformCrossover(KernelCrossover):
             raise ValueError("bias must be in [0, 1]")
         self.bias = bias
 
+    def draw(self, a, b, rng):
+        return (rng.random(a.size) < self.bias).reshape(1, -1)
+
 
 class ArithmeticCrossover(KernelCrossover):
     """Blend crossover on real vectors (Zajicek & Sucha [25]).
@@ -149,6 +196,11 @@ class ArithmeticCrossover(KernelCrossover):
     def __init__(self, fixed_weight: float | None = None):
         self.fixed_weight = fixed_weight
 
+    def draw(self, a, b, rng):
+        if self.fixed_weight is not None:
+            return None
+        return np.array([[rng.random()]])
+
 
 class PMXCrossover(KernelCrossover):
     """Partially matched crossover (Asadzadeh & Zamanifar [27]).
@@ -159,6 +211,9 @@ class PMXCrossover(KernelCrossover):
 
     dtype = np.int64
 
+    def draw(self, a, b, rng):
+        return _draw_segment(a.size, rng)
+
 
 class OrderCrossover(KernelCrossover):
     """OX: keep a slice from parent A, fill the rest in parent-B order.
@@ -168,6 +223,9 @@ class OrderCrossover(KernelCrossover):
     """
 
     dtype = np.int64
+
+    def draw(self, a, b, rng):
+        return _draw_segment(a.size, rng)
 
 
 class LinearOrderCrossover:
@@ -279,6 +337,11 @@ class JobBasedCrossover(KernelCrossover):
     """
 
     dtype = np.int64
+
+    def draw(self, a, b, rng):
+        """Keep mask over the pair's job ids."""
+        n_jobs = int(max(a.max(), b.max())) + 1
+        return (rng.random(n_jobs) < 0.5).reshape(1, -1)
 
 
 class MultiStepCrossoverFusion:
@@ -398,6 +461,17 @@ class CompositeCrossover:
         self.spans = None if spans is None else tuple(int(w) for w in spans)
         if self.spans is not None and len(self.spans) != len(self.parts):
             raise ValueError("spans must give one column width per part")
+
+    def draw(self, a, b, rng):
+        """Per-pair draws of the live parts, in part order.
+
+        The live parts are those the batch twin slices (an operator and
+        a non-zero span); the params are the twin kernel's.  Each part
+        must be an array its operator's kernel reads as it is.
+        """
+        return [op.draw(pa, pb, rng)
+                for op, pa, pb, width in zip(self.parts, a, b, self.spans)
+                if op is not None and width > 0]
 
     def __call__(self, a, b, rng):
         if not isinstance(a, tuple) or len(a) != len(self.parts):

@@ -9,15 +9,16 @@ All operators are classes with signature ``mut(genome, rng) -> genome``
 returning a *new* genome (inputs are never modified in place).
 
 As with crossovers, every operator with a row-wise kernel in
-:mod:`repro.operators.batch` is a :class:`KernelMutation`: its call is
-its batch twin's draw plus the twin's kernel on a one-row block.
-Multi-dimensional genomes are mutated in row-major gene order and keep
-their shape.
+:mod:`repro.operators.batch` is a :class:`KernelMutation`: a per-genome
+:meth:`~KernelMutation.draw` that makes the RNG calls, and a call that is
+that draw plus the kernel on a one-row block.  Draws read only the
+genome's shape, never its values.  Multi-dimensional genomes are mutated
+in row-major gene order and keep their shape.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -40,21 +41,44 @@ Mutation = Callable[[np.ndarray, np.random.Generator], np.ndarray]
 
 
 class KernelMutation:
-    """A mutation that is its batch twin on a one-row block.
+    """A mutation that is a per-genome draw plus a row-wise batch kernel.
 
-    The call runs the draw and the kernel that the subclass registers in
-    :mod:`repro.operators.batch` on the genome's one-row block.
-    ``dtype`` is the dtype genomes reach the kernel in (``None``: their
-    own).
+    Subclasses implement :meth:`draw`; the call runs the kernel their
+    class registers in :mod:`repro.operators.batch` on the genome's
+    one-row block.  ``dtype`` is the dtype genomes reach the kernel in
+    (``None``: their own).
     """
 
     dtype: type | None = None
 
+    def kernel_input(self, genome: np.ndarray
+                     ) -> tuple["KernelMutation", np.ndarray]:
+        """``(operator, array)``: the operator whose kernel reproduces
+        this one on ``genome``, and the genome as that kernel reads it."""
+        return self, np.asarray(genome, dtype=self.dtype)
+
+    def draw(self, genome: np.ndarray, rng: np.random.Generator) -> Any:
+        """Kernel params for ``genome`` as a one-row block.
+
+        Makes exactly this operator's RNG calls for one genome and reads
+        only ``genome.shape``.
+        """
+        raise NotImplementedError
+
     def __call__(self, genome: np.ndarray,
                  rng: np.random.Generator) -> np.ndarray:
-        from .batch import batch_mutation_for
-        g = np.asarray(genome, dtype=self.dtype)
-        return batch_mutation_for(self)(g.reshape(1, -1), rng).reshape(g.shape)
+        from .batch import split_mutation_for
+        op, g = self.kernel_input(genome)
+        params = self.draw(g, rng)
+        out = split_mutation_for(op).kernel(op, g.reshape(1, -1), params)
+        return out.reshape(g.shape)
+
+
+def _draw_pair(n: int, rng: np.random.Generator):
+    """Two distinct positions ``lo < hi`` as one-row index arrays."""
+    pair = rng.choice(n, size=2, replace=False)
+    pair.sort()
+    return pair[:1], pair[1:]
 
 
 class SwapMutation(KernelMutation):
@@ -65,13 +89,29 @@ class SwapMutation(KernelMutation):
             raise ValueError("pairs must be positive")
         self.pairs = pairs
 
+    def draw(self, genome, rng):
+        n = genome.size
+        if n < 2:
+            return None
+        return tuple(_draw_pair(n, rng) for _ in range(self.pairs))
+
 
 class ShiftMutation(KernelMutation):
     """Shift / insertion neighbourhood: remove one gene, reinsert elsewhere."""
 
+    def draw(self, genome, rng):
+        n = genome.size
+        if n < 2:
+            return None
+        src = rng.integers(0, n, size=1)
+        return src, rng.integers(0, n - 1, size=1)
+
 
 class InversionMutation(KernelMutation):
     """Invert a random segment (Kokosinski's invert mutation [32])."""
+
+    def draw(self, genome, rng):
+        return None if genome.size < 2 else _draw_pair(genome.size, rng)
 
 
 class ScrambleMutation:
@@ -106,6 +146,11 @@ class GaussianKeyMutation(KernelMutation):
         self.sigma = sigma
         self.rate = rate
 
+    def draw(self, genome, rng):
+        """Perturbed-gene mask plus the noise, in gene order."""
+        mask = rng.random(genome.size) < self.rate
+        return mask.reshape(1, -1), rng.normal(0, self.sigma, mask.sum())
+
 
 class ResampleKeyMutation:
     """Redraw a fraction of keys uniformly (the "immigration" per-gene form)."""
@@ -134,6 +179,14 @@ class AssignmentMutation(KernelMutation):
     def __init__(self, domain_sizes: np.ndarray, rate: float = 0.1):
         self.domain_sizes = np.asarray(domain_sizes, dtype=np.int64)
         self.rate = rate
+
+    def draw(self, genome, rng):
+        """Mutated-gene mask plus each gene's redraw, one call per gene."""
+        mask = rng.random(genome.size) < self.rate
+        sizes = self.domain_sizes
+        values = [rng.integers(0, max(1, int(sizes[i % sizes.size])))
+                  for i in np.nonzero(mask)[0]]
+        return mask.reshape(1, -1), np.array(values, dtype=np.int64)
 
 
 class IntegerResetMutation:
@@ -166,6 +219,14 @@ class CompositeMutation:
         self.spans = None if spans is None else tuple(int(w) for w in spans)
         if self.spans is not None and len(self.spans) != len(self.parts):
             raise ValueError("spans must give one column width per part")
+
+    def draw(self, genome, rng):
+        """Draws of the live parts, in part order (see
+        :meth:`CompositeCrossover.draw
+        <repro.operators.crossover.CompositeCrossover.draw>`)."""
+        return [op.draw(part, rng)
+                for op, part, width in zip(self.parts, genome, self.spans)
+                if op is not None and width > 0]
 
     def __call__(self, genome, rng):
         if not isinstance(genome, tuple) or len(genome) != len(self.parts):

@@ -28,20 +28,21 @@ Neighbourhood shapes follow the cellular-GA literature (Alba & Dorronsoro
 ``C13`` (Moore + axial radius 2).
 
 Two substrates (``GAConfig.substrate``): the ``object`` path keeps a
-``list[list[Individual]]`` grid, the ``array`` path keeps the grid as a
-:class:`~repro.core.substrate.GridState` -- a ``(rows, cols, n_genes)``
-chromosome tensor plus a ``(rows, cols)`` objective grid.  Both run one
-synchronous generation as batched kernels (the object path on its
-stacked grid): every cell's mate pair and both rate gates are drawn as
-three blocks, neighbourhood selection is a gather through the
-precomputed toroidal offset table of :func:`grid_neighbor_table`,
-crossover/mutation reuse the :mod:`repro.operators.batch` kernels on the
-gated row subsets, and evaluation goes through the problem's vectorised
-batch decoder.  This is the cell-per-thread layout of Luo & El Baz's GPU
-papers (arXiv:1903.10722, 1903.10741) expressed as NumPy tensors, and
-object and grid generations are bit-equal at every rate under a shared
-seed.  Operators without a batch twin, genomes that do not stack and
-the asynchronous sweep breed cell by cell on the object grid.
+``list[list[Individual]]`` grid, draws cell by cell and varies all cells
+with one kernel call per operator; the ``array``
+path keeps the grid as a :class:`~repro.core.substrate.GridState` --
+a ``(rows, cols, n_genes)`` chromosome tensor plus a ``(rows, cols)``
+objective grid -- and runs one whole synchronous generation as batched
+kernels: neighbourhood selection is a gather through the precomputed
+toroidal offset table of :func:`grid_neighbor_table`, crossover/mutation
+reuse the :mod:`repro.operators.batch` kernels on the gated row subsets,
+and evaluation goes through the problem's vectorised batch decoder.
+This is the cell-per-thread layout of Luo & El Baz's GPU papers
+(arXiv:1903.10722, 1903.10741) expressed as NumPy tensors.  Per-cell RNG
+draws (mate pair + the two rate gates) come from one raw block that
+reproduces the object-path call order exactly, so grid generations are
+bit-equal to object generations at the rate extremes under a shared seed
+-- the object/grid conformance contract.
 """
 
 from __future__ import annotations
@@ -52,21 +53,19 @@ import numpy as np
 
 from ..core.backend import active_namespace as _xp
 from ..core.ga import GAConfig, GAResult
-from ..core.individual import Individual
+from ..core.individual import Individual, copy_genome
 from ..core.observers import HistoryRecorder, Observer
 from ..core.population import Population
-from ..core.rng import make_rng
+from ..core.rng import cell_draws, make_rng
 from ..core.substrate import (ArrayPopulationView, GridState,
-                              check_array_support, random_matrix,
-                              takes_arrays)
+                              check_array_support, random_matrix)
 from ..core.termination import MaxGenerations, Termination, TerminationState
 from ..encodings.base import Problem
 from ..operators.batch import batch_crossover_for, batch_mutation_for
+from ..operators.stages import Stage, value
 
 __all__ = ["NEIGHBORHOODS", "CellularGA", "neighborhood_offsets",
            "grid_neighbor_table"]
-
-Array = np.ndarray
 
 NEIGHBORHOODS: dict[str, list[tuple[int, int]]] = {
     # offsets exclude the centre cell (the current individual)
@@ -90,7 +89,7 @@ def neighborhood_offsets(name: str) -> list[tuple[int, int]]:
 
 
 def grid_neighbor_table(rows: int, cols: int,
-                        offsets: Sequence[tuple[int, int]]) -> Array:
+                        offsets: Sequence[tuple[int, int]]) -> np.ndarray:
     """Flat toroidal neighbour indices per cell: ``(rows*cols, n_offsets)``.
 
     Row ``r*cols + c`` lists, in offset order, the row-major flat index
@@ -121,11 +120,11 @@ class CellularGA:
         shape name from :data:`NEIGHBORHOODS`.
     config:
         reuses GAConfig for operator choices and rates (population_size is
-        ignored -- the grid defines it).  ``config.substrate`` selects
-        where the grid lives: ``"object"`` (a grid of ``Individual``) or
-        ``"array"`` (a :class:`~repro.core.substrate.GridState` tensor);
-        a synchronous generation runs as one batched kernel pass on
-        either.
+        ignored -- the grid defines it).  ``config.substrate`` selects the
+        generation substrate: ``"object"`` (per-cell breeding, the
+        reference) or ``"array"`` (the grid lives as a
+        :class:`~repro.core.substrate.GridState` tensor and every stage
+        of the synchronous update runs as one batched kernel pass).
     replacement:
         ``"if_better"`` (offspring replaces the cell only when strictly
         better -- elitist local replacement, the common cGA choice) or
@@ -179,9 +178,7 @@ class CellularGA:
         self.grid: list[list[Individual]] | None = None
         self.grid_state: GridState | None = None
         self._view: ArrayPopulationView | None = None
-        self._neighbor_table = grid_neighbor_table(rows, cols, self.offsets)
-        self._breeds_rows = update == "synchronous" and takes_arrays(
-            problem, self.config, selection=False)
+        self._neighbor_table: np.ndarray | None = None
         self._batch_evaluate = problem.batch_evaluator()
 
     # -- helpers -----------------------------------------------------------------
@@ -213,7 +210,7 @@ class CellularGA:
             ind.objective = float(obj)
         self.state.evaluations += len(todo)
 
-    def _evaluate_matrix(self, matrix: Array) -> Array:
+    def _evaluate_matrix(self, matrix: np.ndarray) -> np.ndarray:
         """Objectives of a chromosome matrix (grid-substrate evaluation)."""
         if self._batch_evaluate is not None:
             objectives = self._batch_evaluate(matrix)
@@ -232,6 +229,8 @@ class CellularGA:
             self.grid_state = GridState.from_matrix(
                 matrix, self._evaluate_matrix(matrix), self.rows, self.cols)
             self._view = ArrayPopulationView(self.problem, self.grid_state)
+            self._neighbor_table = grid_neighbor_table(
+                self.rows, self.cols, self.offsets)
             self._notify()
             return
         self.grid = [[Individual(self.problem.random_genome(self.rng))
@@ -267,36 +266,67 @@ class CellularGA:
             child = Individual(cfg.mutation(child.genome, self.rng))
         return child
 
+    def _breed_cells(self) -> list[Individual]:
+        """Every cell's offspring against the *old* grid, row-major.
+
+        The draws are :meth:`_breed_cell`'s, cell by cell; the crossovers
+        and the mutations then run as one kernel call each
+        (:class:`~repro.operators.stages.Stage`).  A mutation draw reads
+        only its child's shape, so it draws on the centre genome while
+        the child is pending; a one-shot mutation needs the child itself
+        and runs that cell's crossover first.
+        """
+        cfg = self.config
+        rng = self.rng
+        cross = Stage(cfg.crossover, children=2)
+        mutate = Stage(cfg.mutation)
+        children = []
+        for r in range(self.rows):
+            for c in range(self.cols):
+                centre = self.grid[r][c].genome
+                mate = self._local_mate(r, c).genome
+                if rng.random() < cfg.crossover_rate:
+                    child = cross.add(rng, centre, mate)[0]
+                else:
+                    child = copy_genome(centre)
+                if rng.random() < cfg.mutation_rate:
+                    child = mutate.add(rng, child)
+                children.append(child)
+        cross.run()
+        mutate.run()
+        return [Individual(value(child)) for child in children]
+
     def _replace_cell(self, r: int, c: int, child: Individual) -> None:
         if (self.replacement == "always"
                 or child.objective < self.grid[r][c].objective):
             self.grid[r][c] = child
 
-    def _generation(self, matrix: Array, objectives: Array
-                    ) -> tuple[Array, Array, Array]:
-        """One synchronous generation of a stacked grid (lines 4-7 batched).
+    def _step_grid(self) -> None:
+        """One synchronous generation as tensor kernels (lines 4-7 batched).
 
-        Returns every cell's child, the children's objectives and the
-        mask of cells they replace; ``matrix`` and ``objectives`` are
-        the old grid and stay untouched.  The draws come as three blocks
-        -- every cell's mate pair, its crossover gate, its mutation gate
-        -- then the gated rows' crossover and mutation draws.
-        Neighbourhood selection is one gather through the offset table,
-        crossover/mutation run on the gated row subsets via the
-        :mod:`repro.operators.batch` kernels, evaluation decodes all
-        children as one matrix, and replacement compares against the
-        *old* objectives -- synchronous lock-step (visit-order
-        independence) by construction.
+        Stage order, rate arithmetic and per-cell RNG draws (mate pair,
+        crossover gate, mutation gate -- in exactly the object path's
+        row-major order, rebuilt from one raw block by
+        :func:`~repro.core.rng.cell_draws`) are identical to
+        :meth:`_breed_cell`; the per-cell work is batched too:
+        neighbourhood selection is one gather
+        through the offset table, crossover/mutation run on the gated row
+        subsets via the :mod:`repro.operators.batch` kernels, evaluation
+        decodes all candidates as one matrix, and replacement is one
+        masked assignment against the *old* objective grid -- synchronous
+        lock-step (visit-order independence) by construction.
         """
         cfg = self.config
+        state = self.grid_state
+        matrix, objectives = state.matrix, state.objectives
         table = self._neighbor_table
         n, n_nbr = table.shape
         rng = self.rng
+        mate_rows, cross_draws, mut_draws = cell_draws(rng, n, n_nbr)
         xp = _xp()
-        mates = xp.asarray(rng.integers(0, n_nbr, size=(n, 2)),
-                           dtype=xp.int64)
-        cross_gate = xp.asarray(rng.random(n)) < cfg.crossover_rate
-        mut_gate = xp.asarray(rng.random(n)) < cfg.mutation_rate
+        mates = xp.asarray(mate_rows, dtype=xp.int64)
+        cross_gate = xp.asarray(cross_draws) < cfg.crossover_rate
+        mut_gate = xp.asarray(mut_draws) < cfg.mutation_rate
         cand = xp.take_along_axis(table, mates, axis=1)
         a, b = cand[:, 0], cand[:, 1]
         mate_idx = xp.where(objectives[a] <= objectives[b], a, b)
@@ -314,42 +344,9 @@ class CellularGA:
             accept = xp.ones(n, dtype=bool)
         else:
             accept = child_objectives < objectives
-        return children, child_objectives, accept
-
-    def _step_grid(self) -> None:
-        """A synchronous generation of the grid tensor, written in place."""
-        state = self.grid_state
-        children, child_objectives, accept = self._generation(
-            state.matrix, state.objectives)
-        state.matrix[accept] = children[accept]
-        state.objectives[accept] = child_objectives[accept]
+        matrix[accept] = children[accept]
+        objectives[accept] = child_objectives[accept]
         state.touch()
-
-    def _step_objects(self) -> None:
-        """A synchronous generation of the object grid.
-
-        The grid is stacked and stepped as rows (:meth:`_generation`);
-        the accepted children are boxed into their cells.  Inputs the
-        rows cannot take breed cell by cell against the old grid.
-        """
-        flat = [ind for row in self.grid for ind in row]
-        matrix = None
-        if self._breeds_rows:
-            matrix = self.problem.stack_genomes([ind.genome for ind in flat])
-        if matrix is None:
-            children = [self._breed_cell(r, c) for r in range(self.rows)
-                        for c in range(self.cols)]
-            self._evaluate(children)
-            for i, child in enumerate(children):
-                self._replace_cell(i // self.cols, i % self.cols, child)
-            return
-        xp = _xp()
-        children, child_objectives, accept = self._generation(
-            matrix, xp.asarray([ind.objective for ind in flat],
-                               dtype=xp.float64))
-        for i in xp.nonzero(accept)[0].tolist():
-            self.grid[i // self.cols][i % self.cols] = Individual.from_row(
-                self.problem, children[i], child_objectives[i])
 
     def step(self) -> None:
         """One generation (lines 4-7 of Table IV)."""
@@ -359,7 +356,11 @@ class CellularGA:
         if self.substrate == "array":
             self._step_grid()
         elif self.update == "synchronous":
-            self._step_objects()
+            flat = self._breed_cells()
+            self._evaluate(flat)
+            for r in range(self.rows):
+                for c in range(self.cols):
+                    self._replace_cell(r, c, flat[r * self.cols + c])
         else:  # asynchronous fixed line sweep: updates visible immediately
             for r in range(self.rows):
                 for c in range(self.cols):

@@ -25,6 +25,7 @@ import numpy as np
 
 from ..core.backend import active_namespace as _xp
 from ..core.ga import GAConfig
+from ..core.individual import Individual
 from ..core.observers import HistoryRecorder
 from ..core.population import Population
 from ..core.rng import spawn_rngs
@@ -33,8 +34,8 @@ from ..encodings.base import Problem
 from .fine_grained import CellularGA
 from .island import IslandGA, IslandGAResult, epoch_length
 from .migration import (MigrationPolicy, integrate_immigrant_rows,
-                        integrate_immigrants, select_emigrant_rows,
-                        select_emigrants)
+                        integrate_immigrants, replacement_targets,
+                        select_emigrant_rows, select_emigrants)
 from .topology import RingTopology, Topology, TorusTopology
 
 __all__ = ["IslandOfCellularGA", "island_with_torus_topology",
@@ -68,6 +69,9 @@ class IslandOfCellularGA:
         self.n_islands = n_islands
         self.topology = RingTopology(n_islands)
         self.migration = migration or MigrationPolicy(interval=10)
+        # immigrants always displace the worst cells, whatever the
+        # policy's replacement says
+        self._integrate = replace(self.migration, replacement="worst")
         self.termination = termination or MaxGenerations(100)
         self.substrate = (config or GAConfig()).substrate
         self._tensor: np.ndarray | None = None
@@ -120,42 +124,48 @@ class IslandOfCellularGA:
 
     def _migrate(self, epoch: int) -> None:
         """Ring exchange: each island's emigrants replace the worst cells
-        of its targets.
+        of its targets, picked by
+        :func:`~repro.parallel.migration.replacement_targets` over the
+        row-major cells -- the rule the array twin applies, so the two
+        substrates break ties alike."""
+        if self.substrate == "array":
+            self._migrate_arrays(epoch)
+            return
+        boxes: dict[int, list[Individual]] = {i: [] for i in range(self.n_islands)}
+        for i in range(self.n_islands):
+            for tgt in self.topology.neighbors_out(i, epoch):
+                boxes[tgt].extend(select_emigrants(
+                    self.islands[i].population, self.migration,
+                    self._migration_rng))
+        for tgt, immigrants in boxes.items():
+            if not immigrants:
+                continue
+            isl = self.islands[tgt]
+            objectives = [ind.objective for row in isl.grid for ind in row]
+            targets = replacement_targets(
+                objectives, min(len(immigrants), len(objectives)),
+                self._integrate, self._migration_rng)
+            for pos, ind in zip(targets.tolist(), immigrants):
+                isl.grid[pos // isl.cols][pos % isl.cols] = ind.copy()
 
-        Immigrants always displace the worst cells, whatever
-        ``MigrationPolicy.replacement`` says; both substrates integrate
-        through the same target rule
-        (:func:`~repro.parallel.migration.replacement_targets`), so they
-        break ties alike.  On the array substrate the exchange is row
-        gather/scatter on the shared tensor.
-        """
-        integrate = replace(self.migration, replacement="worst")
-        arrays = self.substrate == "array"
+    def _migrate_arrays(self, epoch: int) -> None:
+        """Array-substrate ring exchange: emigrant rows gathered per edge,
+        scattered over the worst cells of each target grid."""
         shipments: dict[int, list] = {i: [] for i in range(self.n_islands)}
         for i in range(self.n_islands):
-            source = self.islands[i]
             for tgt in self.topology.neighbors_out(i, epoch):
-                shipments[tgt].append(
-                    select_emigrant_rows(source.grid_state, self.migration,
-                                         self._migration_rng) if arrays
-                    else select_emigrants(source.population, self.migration,
-                                          self._migration_rng))
+                shipments[tgt].append(select_emigrant_rows(
+                    self.islands[i].grid_state, self.migration,
+                    self._migration_rng))
         for tgt, ship in shipments.items():
             if not ship:
                 continue
-            isl = self.islands[tgt]
-            if arrays:
-                xp = _xp()
-                integrate_immigrant_rows(
-                    isl.grid_state, xp.concatenate([r for r, _ in ship]),
-                    xp.concatenate([o for _, o in ship]), integrate,
-                    self._migration_rng)
-                continue
-            cells = isl.population
-            integrate_immigrants(cells, [ind for box in ship for ind in box],
-                                 integrate, self._migration_rng)
-            isl.grid = [cells.members[r * isl.cols:(r + 1) * isl.cols]
-                        for r in range(isl.rows)]
+            xp = _xp()
+            rows = xp.concatenate([r for r, _ in ship])
+            objs = xp.concatenate([o for _, o in ship])
+            integrate_immigrant_rows(self.islands[tgt].grid_state, rows,
+                                     objs, self._integrate,
+                                     self._migration_rng)
 
     def run(self) -> IslandGAResult:
         for isl in self.islands:

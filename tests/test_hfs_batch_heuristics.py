@@ -308,14 +308,94 @@ class TestHeuristicEnginesAndSeeding:
             report.schedule().audit(report.problem.encoding.instance)
             assert report.extra.get("substrate") == "array"
 
-    def test_fjsp_composite_runs_on_array_substrate(self):
+    def test_all_six_ga_engines_run_fjsp_on_array_substrate(self):
         # the FJSP publishes part_spans, so its composite genome takes
-        # the array substrate and gives the object substrate's result
+        # the array substrate; machine choices stay in their domains
+        for engine, params in (("simple", {}),
+                               ("master-slave", {"backend": "serial"}),
+                               ("island", {"islands": 2}),
+                               ("cellular", {"rows": 3, "cols": 3}),
+                               ("hybrid", {"islands": 2, "rows": 3,
+                                           "cols": 3}),
+                               ("two-level", {"islands": 2})):
+            report = solve(SolverSpec(
+                instance="fjsp-8x5-shaped", engine=engine,
+                substrate="array", engine_params=params,
+                ga={"population_size": 18},
+                termination={"max_generations": 3}, seed=6))
+            encoding = report.problem.encoding
+            report.schedule().audit(encoding.instance)
+            assert report.extra.get("substrate") == "array"
+            assignment, _ = report.best_genome
+            assert (assignment < encoding.assignment_domain_sizes()).all()
+
+    @pytest.mark.parametrize("instance", ["hfs-10x3x2-shaped",
+                                          "fjsp-8x5-shaped"])
+    def test_repairing_crossover_on_assignment_part_is_refused(self,
+                                                               instance):
+        # the batch repair would rebuild parent A's multiset of machine
+        # indices, moving them onto operations outside their domains
+        from repro.encodings.assignment_sequence import (
+            FlexibleJobShopEncoding)
+        from repro.instances import get_instance
+        from repro.operators import (CompositeCrossover, NPointCrossover,
+                                     UniformCrossover)
+        inst = get_instance(instance)
+        encoding = (HybridFlowShopEncoding(inst) if instance.startswith("hfs")
+                    else FlexibleJobShopEncoding(inst))
+        problem = Problem(encoding)
+        for part in (NPointCrossover(2), UniformCrossover()):
+            cross = CompositeCrossover([part, None], encoding.part_spans)
+            with pytest.raises(ValueError, match="assignment part"):
+                SimpleGA(problem, GAConfig(substrate="array",
+                                           crossover=cross),
+                         MaxGenerations(2), seed=0)
+        cross = CompositeCrossover([NPointCrossover(2, repair=False), None],
+                                   encoding.part_spans)
+        ga = SimpleGA(problem, GAConfig(population_size=20, substrate="array",
+                                        crossover=cross, crossover_rate=1.0),
+                      MaxGenerations(10), seed=0)
+        ga.run()
+        spans = encoding.part_spans
+        domains = encoding.assignment_domain_sizes()
+        genes = ga.arrays.matrix[:, :spans[0]]
+        assert (genes < np.resize(domains, spans[0])).all()
+
+    def test_composite_without_spans_or_part_twin_is_refused_up_front(self):
+        # refused when the engine is built, not inside the first draw
+        from repro.encodings.assignment_sequence import (
+            FlexibleJobShopEncoding)
+        from repro.instances import get_instance
+        from repro.operators import (CompositeCrossover, CompositeMutation,
+                                     LinearOrderCrossover, SwapMutation,
+                                     UniformCrossover)
+        encoding = FlexibleJobShopEncoding(get_instance("fjsp-8x5-shaped"))
+        problem = Problem(encoding)
+        spans = encoding.part_spans
+        plain = UniformCrossover(repair=False)
+        for kwargs, match in (
+                ({"crossover": CompositeCrossover([plain, None])},
+                 "no part spans"),
+                ({"mutation": CompositeMutation([None, SwapMutation()])},
+                 "no part spans"),
+                ({"crossover": CompositeCrossover(
+                    [plain, LinearOrderCrossover()], spans)},
+                 "LinearOrderCrossover")):
+            with pytest.raises(ValueError, match=match):
+                SimpleGA(problem, GAConfig(substrate="array", **kwargs),
+                         MaxGenerations(2), seed=0)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_fjsp_rate_zero_is_exact_across_substrates(self, seed):
         reports = [solve(SolverSpec(instance="fjsp-8x5-shaped",
-                                    substrate=substrate, seed=4,
-                                    ga={"population_size": 16},
+                                    substrate=substrate, seed=seed,
+                                    ga={"population_size": 16,
+                                        "crossover_rate": 0.0,
+                                        "mutation_rate": 0.0,
+                                        "immigration_rate": 0.25},
                                     termination={"max_generations": 4}))
                    for substrate in ("object", "array")]
         assert reports[0].best_objective == reports[1].best_objective
+        assert reports[0].evaluations == reports[1].evaluations
         for a, b in zip(*(r.best_genome for r in reports)):
             assert np.array_equal(a, b)

@@ -1,40 +1,45 @@
-"""Object-substrate variation: the array generation, boxed.
+"""Object-substrate variation: per-pair draws, one kernel call per stage.
 
-The scalar crossovers and mutations with a batch twin are that twin's
-draw and kernel on a one-row block, and an object generation stacks its
-population and breeds it through the array substrate's ``Brood``
-(``tests/test_substrate.py`` and ``tests/test_cellular_substrate.py``
-pin object == array at every rate).  Checked here:
+The scalar crossovers and mutations with a batch kernel are that kernel
+on a one-row block, and an object-substrate generation draws pair by
+pair but varies every pair with one kernel call per operator
+(:mod:`repro.operators.stages`).  Checked against the per-pair loops
+they replaced, transcribed in ``scalar_reference``:
 
-1. every kernel operator call equals its batch twin on a one-row block,
-   in results, shape and RNG state, and returns genomes that own their
-   memory;
-2. inputs the rows cannot take -- operators without a batch twin (LOX,
-   scramble, third-party ones) and genomes that do not stack (lot
-   streaming) -- breed pair by pair on the object substrate;
+1. every operator call equals its transcribed body, in results and in
+   RNG state;
+2. ``SimpleGA.make_offspring`` and the cellular steps equal the per-pair
+   loops over every registered crossover x mutation, at the rate
+   extremes and in between, with odd broods, partial replacement and
+   immigration;
 3. an object generation makes one crossover and one mutation kernel
    call.
 """
 
-from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
+import scalar_reference
 from repro import CellularGA, GAConfig, IslandGA, MaxGenerations, SimpleGA
-from repro.encodings import (FlowShopPermutationEncoding,
-                             LotStreamingEncoding, Problem)
-from repro.instances import flexible_flow_shop, flow_shop
+from repro.encodings import (DispatchRuleEncoding,
+                             FlowShopPermutationEncoding,
+                             HybridFlowShopEncoding, OperationBasedEncoding,
+                             Problem, RandomKeysFlowShopEncoding)
+from repro.instances import flexible_flow_shop, flow_shop, job_shop
 from repro.operators import (ArithmeticCrossover, AssignmentMutation,
+                             CompositeCrossover, CompositeMutation,
                              GaussianKeyMutation, InversionMutation,
-                             JobBasedCrossover, LinearOrderCrossover,
+                             JobBasedCrossover, KernelCrossover,
+                             KernelMutation, LinearOrderCrossover,
                              NPointCrossover, OrderCrossover,
                              ParameterizedUniformCrossover, PMXCrossover,
-                             ScrambleMutation, ShiftMutation, SwapMutation,
-                             UniformCrossover)
+                             ResampleKeyMutation, ScrambleMutation,
+                             ShiftMutation, SwapMutation, UniformCrossover)
 from repro.operators import batch
-from repro.operators.batch import (SplitTwin, batch_crossover_for,
-                                   batch_mutation_for)
+from repro.operators.batch import SplitTwin
+from repro.operators.stages import Stage, value
 
 
 def same(x, y) -> bool:
@@ -46,20 +51,25 @@ def same(x, y) -> bool:
             and x.shape == y.shape and x.tobytes() == y.tobytes())
 
 
+def arrays(genome) -> list:
+    return list(genome) if isinstance(genome, tuple) else [genome]
+
+
 def _buffer(array: np.ndarray) -> np.ndarray:
     while isinstance(array.base, np.ndarray):
         array = array.base
     return array
 
 
-def owned(arrays) -> bool:
-    """Each of ``arrays`` sits alone in its own buffer."""
-    return (all(_buffer(a).nbytes == a.nbytes for a in arrays)
-            and not any(np.shares_memory(arrays[i], arrays[j])
-                        for i in range(len(arrays)) for j in range(i)))
+def owned(genomes) -> bool:
+    """Each array of ``genomes`` sits alone in its own buffer."""
+    flat = [a for g in genomes for a in arrays(g)]
+    return (all(_buffer(a).nbytes == a.nbytes for a in flat)
+            and not any(np.shares_memory(flat[i], flat[j])
+                        for i in range(len(flat)) for j in range(i)))
 
 
-# -- 1. operator calls vs their one-row twins ---------------------------------
+# -- 1. operator calls vs their transcribed loops -----------------------------
 
 KINDS = ("permutation", "repetition", "real", "2-D")
 
@@ -106,26 +116,17 @@ def _describe(op) -> str:
     return f"{type(op).__name__}{sorted(vars(op).items())}"
 
 
-def one_row(op, *genomes):
-    """``genomes`` as the one-row blocks ``op``'s batch twin reads."""
-    read = getattr(op, "kernel_input",
-                   lambda g: np.asarray(g, dtype=op.dtype))
-    return [read(g).reshape(1, -1) for g in genomes]
-
-
 @pytest.mark.parametrize("n", (1, 2, 10, 50))
 @pytest.mark.parametrize(
     "op,kind", [(op, kind) for op, kinds in CROSSOVERS for kind in kinds],
     ids=lambda v: v if isinstance(v, str) else _describe(v))
-def test_crossover_call_is_its_one_row_twin(op, kind, n):
+def test_crossover_call_is_its_transcribed_loop(op, kind, n):
     for seed in range(3):
         a, b = genome_pair(kind, n, seed)
         rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
         got = op(a, b, rng)
-        want = batch_crossover_for(op)(*one_row(op, a, b), ref_rng)
-        for child, row in zip(got, want):
-            assert child.shape == a.shape
-            assert same(child, row.reshape(a.shape))
+        want = scalar_reference.reference(op)(a, b, ref_rng)
+        assert same(got[0], want[0]) and same(got[1], want[1])
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert owned([*got, a, b])
 
@@ -134,91 +135,297 @@ def test_crossover_call_is_its_one_row_twin(op, kind, n):
 @pytest.mark.parametrize(
     "op,kind", [(op, kind) for op, kinds in MUTATIONS for kind in kinds],
     ids=lambda v: v if isinstance(v, str) else _describe(v))
-def test_mutation_call_is_its_one_row_twin(op, kind, n):
+def test_mutation_call_is_its_transcribed_loop(op, kind, n):
     for seed in range(3):
         genome = genome_pair(kind, n, seed)[0]
         rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
         got = op(genome, rng)
-        want = batch_mutation_for(op)(*one_row(op, genome), ref_rng)
-        assert got.shape == genome.shape
-        assert same(got, want.reshape(genome.shape))
+        want = scalar_reference.reference(op)(genome, ref_rng)
+        assert same(got, want)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert owned([got, genome])
 
 
-# -- 2. inputs the rows cannot take breed pair by pair ------------------------
+def built_in_kernel_operators() -> set:
+    """Library operator classes with a registered batch twin."""
+    return {cls for cls in [*batch._BATCH_CROSSOVERS, *batch._BATCH_MUTATIONS]
+            if cls.__module__.startswith("repro.")}
+
+
+def test_kernel_operator_bases_leave_the_draw_to_subclasses():
+    rng, genome = np.random.default_rng(0), np.arange(4)
+    with pytest.raises(NotImplementedError):
+        KernelCrossover()(genome, genome, rng)
+    with pytest.raises(NotImplementedError):
+        KernelMutation()(genome, rng)
+
+
+def test_every_kernel_operator_is_transcribed():
+    """The deleted scalar bodies all have a transcription to test against."""
+    assert built_in_kernel_operators() <= set(scalar_reference.TRANSCRIBED)
+
+
+# -- 2. whole generations vs the per-pair loops -------------------------------
 
 class RotateCrossover:
-    """A third-party crossover: no batch twin."""
+    """A third-party crossover: no batch kernel, so it runs whole."""
 
     def __call__(self, a, b, rng):
         k = int(rng.integers(0, len(a)))
         return np.roll(a, k), np.roll(b, -k)
 
 
-def _flow_problem():
-    return Problem(FlowShopPermutationEncoding(flow_shop(8, 3, seed=7)))
+class ReverseMutation:
+    """A third-party mutation: no batch kernel, so it runs whole."""
+
+    def __call__(self, genome, rng):
+        return genome[::-1].copy() if rng.random() < 0.5 else genome.copy()
 
 
-def _lots_problem():
-    return Problem(LotStreamingEncoding(flexible_flow_shop(5, (2, 2),
-                                                           seed=3)))
+def _hfs():
+    problem = Problem(HybridFlowShopEncoding(
+        flexible_flow_shop(5, (2, 3), seed=4)))
+    spans = problem.encoding.part_spans
+    domains = problem.encoding.assignment_domain_sizes()
+    crossovers = [
+        # the default: uniform on the 2-D assignment part, OX on the order
+        CompositeCrossover([UniformCrossover(repair=False), OrderCrossover()],
+                           spans),
+        # a repairing n-point on a 2-D part is not what its kernel does
+        # in the stacked row: those pairs run whole
+        CompositeCrossover([NPointCrossover(2), PMXCrossover()], spans),
+        CompositeCrossover([None, JobBasedCrossover()], spans),
+        # real-valued assignment parts: crossed genomes mix dtypes, which
+        # neither composite kernel takes, clones keep one dtype
+        CompositeCrossover([ArithmeticCrossover(), OrderCrossover()],
+                           spans),
+        CompositeCrossover([UniformCrossover(repair=False),
+                            OrderCrossover()]),  # no spans: runs whole
+    ]
+    mutations = [
+        CompositeMutation([AssignmentMutation(domains, rate=0.3),
+                           SwapMutation()], spans),
+        CompositeMutation([None, InversionMutation()], spans),
+        CompositeMutation([AssignmentMutation(domains), ShiftMutation()]),
+    ]
+    return problem, crossovers, mutations
 
 
-FALLBACKS = {
-    "lox": (_flow_problem, dict(crossover=LinearOrderCrossover())),
-    "scramble": (_flow_problem, dict(mutation=ScrambleMutation())),
-    "third-party": (_flow_problem, dict(crossover=RotateCrossover())),
-    "lot-streaming": (_lots_problem, {}),
-}
+def families() -> dict:
+    """Problem plus compatible crossovers and mutations, per genome kind."""
+    return {
+        "permutation": (
+            Problem(FlowShopPermutationEncoding(flow_shop(7, 3, seed=1))),
+            [OrderCrossover(), PMXCrossover(), JobBasedCrossover(),
+             NPointCrossover(2), UniformCrossover(), LinearOrderCrossover(),
+             RotateCrossover()],
+            [SwapMutation(), ShiftMutation(), InversionMutation(),
+             ScrambleMutation(), ReverseMutation()]),
+        "repetition": (
+            Problem(OperationBasedEncoding(job_shop(3, 3, seed=2))),
+            [OrderCrossover(), JobBasedCrossover(), NPointCrossover(1),
+             UniformCrossover()],
+            [SwapMutation(2), ShiftMutation(), InversionMutation()]),
+        "real": (
+            Problem(RandomKeysFlowShopEncoding(flow_shop(7, 3, seed=3))),
+            [ParameterizedUniformCrossover(0.6), ArithmeticCrossover(),
+             UniformCrossover(repair=False), NPointCrossover(1)],
+            [GaussianKeyMutation(), ResampleKeyMutation(0.3),
+             SwapMutation()]),
+        # integer genomes that a real-valued crossover turns into floats:
+        # a generation mixes int and float children
+        "rules": (
+            Problem(DispatchRuleEncoding(job_shop(3, 3, seed=5))),
+            [ParameterizedUniformCrossover(0.6), UniformCrossover()],
+            [AssignmentMutation(np.array([5]), rate=0.3), SwapMutation()]),
+        "hfs": _hfs(),
+    }
 
 
-def _orders(population) -> list:
-    """Each member's job order (the permutation part of a composite)."""
-    return [ind.genome[-1] if isinstance(ind.genome, tuple) else ind.genome
-            for ind in population]
+FAMILIES = families()
+OPERATOR_CASES = [(family, i, j)
+                  for family, (_, xs, ms) in FAMILIES.items()
+                  for i in range(len(xs)) for j in range(len(ms))]
+RATES = [(0.0, 0.0), (0.0, 0.5), (0.0, 1.0), (0.5, 0.0), (0.5, 0.5),
+         (0.5, 1.0), (1.0, 0.0), (1.0, 0.5), (1.0, 1.0)]
+SHAPES = [dict(population_size=9),                        # odd brood
+          dict(population_size=10, generation_gap=0.5),   # 5 bred
+          dict(population_size=10, immigration_rate=0.1)]
 
 
-@pytest.mark.parametrize("update", ["simple", "synchronous",
-                                    "asynchronous"])
-@pytest.mark.parametrize("name", list(FALLBACKS))
-def test_fallback_inputs_breed_pair_by_pair(name, update):
-    make_problem, operators = FALLBACKS[name]
-    problem = make_problem()
-    config = GAConfig(population_size=9, crossover_rate=0.8,
-                      mutation_rate=0.8, **operators)
-    with pytest.raises(ValueError):  # the rows cannot take these inputs
-        SimpleGA(problem, replace(config, substrate="array"))
-
-    def run():
-        if update == "simple":
-            engine = SimpleGA(problem, config, MaxGenerations(4), seed=3)
-        else:
-            engine = CellularGA(problem, rows=3, cols=3, config=config,
-                                termination=MaxGenerations(4), seed=3,
-                                update=update)
-        assert not engine._breeds_rows
-        return engine.run()
-
-    first, again = run(), run()
-    assert first.evaluations == again.evaluations
-    assert all(same(a.genome, b.genome)
-               for a, b in zip(first.population, again.population))
-    n_jobs = problem.instance.n_jobs
-    for order in _orders(first.population):
-        assert np.array_equal(np.sort(order), np.arange(n_jobs))
+def test_cases_cover_every_registered_operator():
+    covered = {type(op) for _, xs, ms in FAMILIES.values()
+               for op in [*xs, *ms]}
+    assert built_in_kernel_operators() <= covered
 
 
-def test_selection_without_twin_breeds_pair_by_pair():
-    class FirstSelection:
-        def __call__(self, population, k, rng):
-            return [population[i % len(population)] for i in range(k)]
+def recorded(fn, log: list):
+    def wrapper(*args):
+        out = fn(*args)
+        log.append([ind.genome for ind in out])
+        return out
+    return wrapper
 
-    ga = SimpleGA(_flow_problem(), GAConfig(population_size=8,
-                                            selection=FirstSelection()),
-                  MaxGenerations(3), seed=1)
-    assert not ga._breeds_rows
-    assert ga.run().generations == 3
+
+def compare_logs(new_log, ref_log):
+    assert len(new_log) == len(ref_log) > 0
+    for new, ref in zip(new_log, ref_log):
+        assert len(new) == len(ref)
+        assert all(same(a, b) for a, b in zip(new, ref))
+        assert owned(new)
+
+
+def run_simple(family, crossover, mutation, seed=0, **config):
+    problem = FAMILIES[family][0]
+    logs = []
+    engines = []
+    for reference in (False, True):
+        ga = SimpleGA(problem, GAConfig(crossover=crossover,
+                                        mutation=mutation, **config),
+                      MaxGenerations(3), seed=seed)
+        log = []
+        fn = (partial(scalar_reference.make_offspring, ga) if reference
+              else ga.make_offspring)
+        ga.make_offspring = recorded(fn, log)
+        ga.run()
+        logs.append(log)
+        engines.append(ga)
+    compare_logs(*logs)
+    new, ref = engines
+    assert new.rng.bit_generator.state == ref.rng.bit_generator.state
+    assert all(same(a.genome, b.genome) for a, b in
+               zip(new.population, ref.population))
+
+
+def run_cellular(family, crossover, mutation, seed=0, update="synchronous",
+                 **config):
+    problem = FAMILIES[family][0]
+    logs = []
+    engines = []
+    for reference in (False, True):
+        cga = CellularGA(problem, rows=3, cols=3,
+                         config=GAConfig(crossover=crossover,
+                                         mutation=mutation, **config),
+                         termination=MaxGenerations(3), seed=seed,
+                         update=update)
+        log = []
+        if update == "synchronous":
+            fn = (partial(scalar_reference.breed_cells, cga) if reference
+                  else cga._breed_cells)
+            cga._breed_cells = recorded(fn, log)
+        elif reference:
+            cga._breed_cell = partial(scalar_reference.breed_cell, cga)
+        cga.run()
+        logs.append(log)
+        engines.append(cga)
+    if update == "synchronous":
+        compare_logs(*logs)
+    new, ref = engines
+    assert new.rng.bit_generator.state == ref.rng.bit_generator.state
+    assert all(same(a.genome, b.genome) for a, b in
+               zip(new.population, ref.population))
+
+
+@pytest.mark.parametrize("rates", [(1.0, 1.0), (0.5, 0.5)])
+@pytest.mark.parametrize("family,i,j", OPERATOR_CASES)
+def test_make_offspring_equals_per_pair_loop(family, i, j, rates):
+    _, crossovers, mutations = FAMILIES[family]
+    run_simple(family, crossovers[i], mutations[j], population_size=9,
+               crossover_rate=rates[0], mutation_rate=rates[1])
+
+
+@pytest.mark.parametrize("rates", [(1.0, 1.0), (0.5, 0.5)])
+@pytest.mark.parametrize("family,i,j", OPERATOR_CASES)
+def test_synchronous_cells_equal_per_cell_loop(family, i, j, rates):
+    _, crossovers, mutations = FAMILIES[family]
+    run_cellular(family, crossovers[i], mutations[j],
+                 crossover_rate=rates[0], mutation_rate=rates[1])
+
+
+@pytest.mark.parametrize("rates", RATES)
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_rate_extremes_and_between(family, rates):
+    _, crossovers, mutations = FAMILIES[family]
+    run_simple(family, crossovers[0], mutations[0], seed=1,
+               population_size=9, crossover_rate=rates[0],
+               mutation_rate=rates[1])
+    run_cellular(family, crossovers[0], mutations[0], seed=1,
+                 crossover_rate=rates[0], mutation_rate=rates[1])
+
+
+@pytest.mark.parametrize("shape", SHAPES,
+                         ids=["odd", "gap-0.5", "immigration-0.1"])
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_brood_shapes(family, shape):
+    _, crossovers, mutations = FAMILIES[family]
+    for i, j in ((0, 0), (len(crossovers) - 1, len(mutations) - 1)):
+        run_simple(family, crossovers[i], mutations[j], seed=2,
+                   crossover_rate=0.7, mutation_rate=0.6, **shape)
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_asynchronous_cells_equal_per_cell_loop(family):
+    _, crossovers, mutations = FAMILIES[family]
+    run_cellular(family, crossovers[0], mutations[0], seed=3,
+                 update="asynchronous", crossover_rate=0.8,
+                 mutation_rate=0.8)
+
+
+# -- stages -------------------------------------------------------------------
+
+def test_stage_groups_layouts_and_matches_calls():
+    """Int and float genomes in one stage: one kernel call per layout."""
+    op = SwapMutation()
+    genomes = [np.arange(6), np.linspace(0, 1, 6), np.arange(6)[::-1].copy()]
+    rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+    stage = Stage(op)
+    slots = [stage.add(rng, g) for g in genomes]
+    stage.run()
+    for slot, g in zip(slots, genomes):
+        assert same(value(slot), op(g, ref_rng))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_one_shot_stage_runs_at_the_draw_and_forces_pending_inputs():
+    """A one-shot mutation of a pending child runs that child's
+    crossover first; the later stage run skips it."""
+    a, b = np.random.default_rng(5).permutation(8), np.arange(8)
+    rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
+    cross, mutate = Stage(OrderCrossover(), children=2), \
+        Stage(ScrambleMutation())
+    assert mutate.kernel is None and cross.kernel is not None
+    child, other = cross.add(rng, a, b)
+    mutated = mutate.add(rng, child)
+    assert child.value is not None and other.value is not None
+    cross.run()
+    want_a, want_b = OrderCrossover()(a, b, ref_rng)
+    assert same(value(other), want_b)
+    assert same(mutated, ScrambleMutation()(want_a, ref_rng))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_composite_genomes_off_the_spans_run_whole():
+    """Parts that are not arrays, or do not fill the spans, skip the
+    kernel; a genome that is not a tuple fails as the operator does."""
+    op = CompositeMutation([None, SwapMutation()], spans=[2, 5])
+    for genome in ((np.zeros(2, dtype=np.int64), list(range(5))),
+                   (np.zeros(3, dtype=np.int64), np.arange(5))):
+        rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+        got = Stage(op).add(rng, genome)
+        assert same(got, op(genome, ref_rng))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    with pytest.raises(ValueError, match="tuple genome"):
+        Stage(op).add(np.random.default_rng(0), np.arange(7))
+
+
+def test_composite_without_spans_is_one_shot():
+    assert Stage(CompositeCrossover([OrderCrossover()]),
+                 children=2).kernel is None
+    assert Stage(CompositeMutation([SwapMutation()])).kernel is None
+    assert Stage(CompositeMutation([ScrambleMutation()],
+                                   spans=[4])).kernel is None
+    assert Stage(CompositeMutation([SwapMutation()],
+                                   spans=[4])).kernel is not None
 
 
 # -- 3. one kernel call per operator and generation ---------------------------
@@ -243,6 +450,10 @@ def kernel_calls(monkeypatch):
 
 SPY_CONFIG = dict(population_size=16, crossover_rate=1.0, mutation_rate=1.0,
                   crossover=OrderCrossover(), mutation=SwapMutation())
+
+
+def _flow_problem():
+    return Problem(FlowShopPermutationEncoding(flow_shop(8, 3, seed=7)))
 
 
 def test_simple_generation_is_one_kernel_call_per_operator(kernel_calls):

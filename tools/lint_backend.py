@@ -47,8 +47,7 @@ BASELINES = {
     # 31 -> 12: signatures annotate through the module's Array /
     # Generator aliases
     "src/repro/core/substrate.py": 12,
-    # 5 -> 2: signatures annotate through the module's Array alias
-    "src/repro/parallel/fine_grained.py": 2,
+    "src/repro/parallel/fine_grained.py": 5,
     "src/repro/parallel/island.py": 4,
     "src/repro/parallel/hybrid.py": 3,
     "src/repro/extensions/fuzzy.py": 42,
