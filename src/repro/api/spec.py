@@ -135,12 +135,15 @@ class SolverSpec:
         instance post-processing: ``due_tau`` attaches TWK due dates,
         ``weights`` (``true`` or ``[lo, hi]``) attaches job weights.
     substrate:
-        generation substrate: ``"object"`` (default -- per-``Individual``
-        operator calls, bit-identical to pre-substrate behaviour) or
-        ``"array"`` (the population lives as a chromosome matrix -- a
-        grid tensor for the cellular engines -- and every stage runs as
-        a matrix kernel; see :mod:`repro.core.substrate`).  Supported by
-        all six engines for single-array genome kinds.
+        the GA engines choose their generation from the input: when the
+        genomes stack into a chromosome matrix (a grid tensor for the
+        cellular engines) and every operator has a batch twin, every
+        stage runs as a matrix kernel (see :mod:`repro.core.substrate`);
+        other inputs breed ``Individual`` objects pair by pair.
+        ``"object"`` (default) accepts both; ``"array"`` refuses an input
+        that does not stack.  Both give bit-identical runs on a
+        stackable input; ``report.extra["substrate"]`` names the path
+        that ran.
     backend:
         array namespace the batch kernels run on (see
         :mod:`repro.core.backend`): ``"numpy"`` (default, bit-identical

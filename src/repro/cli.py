@@ -53,9 +53,10 @@ def _cmd_list(_args) -> int:
     array_engines = [name for name in available_engines()
                      if engine_entry(name).tags.get("array_substrate")]
     print("\nsubstrates:")
-    print("  object: per-Individual operator calls (default, all engines)")
-    print(f"  array: matrix-kernel generations "
-          f"(engines: {', '.join(array_engines)})")
+    print("  object: matrix-kernel generations when the input stacks, "
+          "per-Individual operator calls otherwise (default, all engines)")
+    print(f"  array: matrix-kernel generations; refuses inputs that do not "
+          f"stack (engines: {', '.join(array_engines)})")
     print("\nbackends:")
     for name in available_backends():
         print(f"  {name}")
@@ -328,8 +329,10 @@ def main(argv: list[str] | None = None) -> int:
                               "default: makespan)")
     p_solve.add_argument("--substrate", default=None,
                          choices=available_substrates(),
-                         help="generation substrate: object (default) or "
-                              "array (matrix-kernel generations)")
+                         help="object (default): matrix-kernel "
+                              "generations when the input stacks, else "
+                              "per-pair; array: refuse inputs that do not "
+                              "stack")
     p_solve.add_argument("--backend", default=None, choices=sorted(BACKENDS),
                          help="array backend for the batch kernels "
                               "(default: numpy)")

@@ -39,7 +39,6 @@ from ..encodings.base import Problem
 from ..operators.crossover import Crossover, default_crossover_for
 from ..operators.mutation import Mutation, default_mutation_for
 from ..operators.selection import Selection, RouletteWheelSelection
-from ..operators.stages import Stage, value
 from .backend import active_namespace as _xp
 from .fitness import FitnessTransform, HeuristicOffsetFitness, apply_fitness
 from .individual import Individual, copy_genome
@@ -47,9 +46,10 @@ from .observers import HistoryRecorder, Observer
 from .population import Population
 from .rng import make_rng
 from .substrate import (SUBSTRATES, ArrayPopulationView, ArrayState, Brood,
-                        check_array_support, elitist_merge_arrays,
-                        elitist_merge_rows, make_offspring_matrix,
-                        random_matrix, vary_broods)
+                        check_array_support, check_assignment_crossover,
+                        elitist_merge_arrays, elitist_merge_rows,
+                        make_offspring_matrix, random_matrix, takes_arrays,
+                        vary_broods)
 from .termination import MaxGenerations, Termination, TerminationState
 
 __all__ = ["GAConfig", "GAResult", "SimpleGA", "Evaluator", "lockstep"]
@@ -82,11 +82,14 @@ class GAConfig:
         replacement* of Akhshabi et al. [18] (only the bred fraction can
         displace parents, the rest survive unchanged).
     substrate:
-        ``"object"`` (default) evolves ``Individual`` objects with
-        per-genome operator calls; ``"array"`` keeps the population as a
-        ``(pop, n_genes)`` chromosome matrix and runs every stage as a
-        matrix kernel (see :mod:`repro.core.substrate`).  The object
-        substrate's behaviour is bit-for-bit unchanged by this knob.
+        the engines choose their path from the input: a population whose
+        genomes stack into a ``(pop, n_genes)`` chromosome matrix, with a
+        batch twin for every operator, runs every stage as a matrix
+        kernel (see :mod:`repro.core.substrate`); any other input breeds
+        ``Individual`` objects pair by pair.  ``"object"`` (default)
+        accepts both paths; ``"array"`` refuses, up front, an input that
+        does not stack.  Both values give bit-identical runs on an input
+        that stacks.
     seeding:
         name of a constructive heuristic (``"neh"``, ``"johnson"``,
         ``"spt"``, ``"edd"``; see :mod:`repro.heuristics`) whose solution
@@ -135,12 +138,16 @@ class GAConfig:
                     f"None, got {self.seeding!r}")
 
     def resolved(self, problem: Problem) -> "GAConfig":
-        """Copy with operator defaults filled in for ``problem``."""
+        """Copy with operator defaults filled in for ``problem``.
+
+        Raises ``ValueError`` for a repairing crossover on an assignment
+        part (:func:`~repro.core.substrate.check_assignment_crossover`).
+        """
         part_kinds = getattr(problem.encoding, "part_kinds", ())
         part_spans = getattr(problem.encoding, "part_spans", None)
         if part_spans is not None:
             part_spans = tuple(int(w) for w in part_spans)
-        return replace(
+        resolved = replace(
             self,
             selection=self.selection or RouletteWheelSelection(),
             crossover=self.crossover or default_crossover_for(
@@ -149,6 +156,8 @@ class GAConfig:
                 problem.kind, part_kinds, part_spans),
             fitness_transform=self.fitness_transform or HeuristicOffsetFitness(),
         )
+        check_assignment_crossover(problem, resolved)
+        return resolved
 
 
 @dataclass
@@ -211,10 +220,12 @@ class SimpleGA:
         self.observers: list[Observer] = [self.history, *observers]
         self.state = TerminationState()
         self.population: Population | None = None
-        self.substrate = self.config.substrate
         self.arrays: ArrayState | None = None
-        if self.substrate == "array":
+        if self.config.substrate == "array":
             check_array_support(problem, self.config)
+        #: the path that runs: ``"array"`` whenever the input stacks
+        self.substrate = ("array" if takes_arrays(problem, self.config)
+                          else "object")
 
     # -- building blocks ---------------------------------------------------------
     def _seed_genomes(self) -> list:
@@ -335,13 +346,13 @@ class SimpleGA:
                        count: int) -> list[Individual]:
         """Selection + crossover + mutation producing ``count`` offspring.
 
-        Shared by the serial loop, the master-slave engine and the island
-        engine (each island calls it on its own subpopulation).  Every
-        draw comes pair by pair (gate, then crossover) and child by child
-        (gate, then mutation), followed by the immigrants; the crossovers
-        and the mutations then run as one kernel call each
-        (:class:`~repro.operators.stages.Stage`), which gives the same
-        offspring as calling the operators pair by pair.
+        The per-pair generation of inputs that do not stack into a
+        matrix: pair by pair, a crossover gate then the crossover; child
+        by child, a mutation gate then the mutation; then the
+        immigrants.  The array path
+        (:class:`~repro.core.substrate.Brood`) makes the same draws stage
+        by stage, so the two agree at the crossover/mutation rate
+        extremes.
         """
         cfg = self.config
         rng = self.rng
@@ -349,23 +360,18 @@ class SimpleGA:
         n_immigrants = int(round(cfg.immigration_rate * count))
         n_bred = count - n_immigrants
         parents = cfg.selection(population, n_bred + (n_bred % 2), rng)
-        cross = Stage(cfg.crossover, children=2)
         genomes: list = []
         for i in range(0, len(parents) - 1, 2):
             ga, gb = parents[i].genome, parents[i + 1].genome
             if rng.random() < cfg.crossover_rate:
-                genomes.extend(cross.add(rng, ga, gb))
+                genomes.extend(cfg.crossover(ga, gb, rng))
             else:
                 genomes.extend((copy_genome(ga), copy_genome(gb)))
-        cross.run()
-        mutate = Stage(cfg.mutation)
-        genomes = [mutate.add(rng, value(g))
-                   if rng.random() < cfg.mutation_rate else g
-                   for g in genomes[:n_bred]]
+        genomes = [cfg.mutation(g, rng) if rng.random() < cfg.mutation_rate
+                   else g for g in genomes[:n_bred]]
         genomes.extend(self.problem.random_genome(rng)
                        for _ in range(n_immigrants))
-        mutate.run()
-        return [Individual(value(g)) for g in genomes]
+        return [Individual(g) for g in genomes]
 
     @property
     def brood_sizes(self) -> tuple[int, int]:

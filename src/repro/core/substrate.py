@@ -1,21 +1,21 @@
 """The array-native generation substrate.
 
-The object substrate (the default) evolves a list of
-:class:`~repro.core.individual.Individual`; every variation operator is
-called per genome or per parent pair.  This module implements the second
-substrate the GPU/island follow-ups of the survey are built on (Luo & El
-Baz, arXiv:1903.10722 / 1903.10741): the population lives as one
-``(pop, n_genes)`` chromosome matrix with a parallel ``(pop,)``
-objectives vector, and a whole generation -- selection, crossover,
-mutation, immigration, partial replacement, elitist merge -- is a handful
-of matrix kernels from :mod:`repro.operators.batch`.
+The GPU/island follow-ups of the survey (Luo & El Baz, arXiv:1903.10722
+/ 1903.10741) keep a population as one ``(pop, n_genes)`` chromosome
+matrix with a parallel ``(pop,)`` objectives vector, and a whole
+generation -- selection, crossover, mutation, immigration, partial
+replacement, elitist merge -- is a handful of matrix kernels from
+:mod:`repro.operators.batch`.  This module is that generation.
 
-Engines select the substrate through ``GAConfig.substrate``
-(``"object"`` | ``"array"``); :class:`~repro.core.ga.SimpleGA` threads it
-through ``initialize``/``step``, the island engine stacks the per-island
-matrices into one ``(n_islands, pop, n_genes)`` tensor whose migration is
-pure slice assignment, and the declarative API exposes it as
-``SolverSpec.substrate`` / ``--substrate array``.
+Every engine runs it whenever the input stacks into a matrix
+(:func:`takes_arrays`: a fixed-length genome and a batch twin for every
+operator); only inputs that cannot stack -- lot streaming, operators
+without a batch twin, the asynchronous cellular sweep, island merging
+-- breed ``Individual`` objects pair by pair.  ``GAConfig.substrate`` /
+``SolverSpec.substrate`` = ``"array"`` refuses those inputs up front;
+the island engine binds its island matrices into one
+``(n_islands, pop, n_genes)`` tensor whose migration is pure slice
+assignment.
 
 A generation's variation is a :class:`Brood`: construction makes the
 population's draws on its own RNG, :func:`vary_broods` runs the kernels.
@@ -26,10 +26,11 @@ one matrix and merges with a row-wise top-k over the stacked objectives
 alone.
 
 Conformance contract (see ``tests/test_substrate.py``): closure per
-batch operator, *exact* equality with the object substrate at the
-crossover/mutation rate extremes under a shared RNG, and quality parity
-on a fixed ta-style scenario -- per-draw bit-identity at intermediate
-rates is out of scope because batching reorders the RNG stream.
+batch operator, *exact* equality with the per-pair loop
+(``SimpleGA.make_offspring``) at the crossover/mutation rate extremes
+under a shared RNG, and quality parity on a fixed ta-style scenario --
+per-draw bit-identity at intermediate rates is out of scope because
+batching reorders the RNG stream.
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ Generator = np.random.Generator
 __all__ = [
     "SUBSTRATES", "available_substrates",
     "ArrayState", "GridState", "ArrayPopulationView",
-    "check_array_support", "stable_topk",
+    "check_array_support", "check_assignment_crossover", "takes_arrays",
+    "stable_topk",
     "Brood", "vary_broods", "make_offspring_matrix",
     "elitist_merge_rows", "elitist_merge_arrays", "random_matrix",
 ]
@@ -73,16 +75,31 @@ def available_substrates() -> tuple[str, ...]:
 _ARRAY_KINDS = ("permutation", "repetition", "real")
 
 
+def check_assignment_crossover(problem: Any, config: Any) -> None:
+    """Raise ``ValueError`` for a repairing crossover on an assignment part.
+
+    The repair rebuilds parent A's multiset of machine indices, which
+    moves them onto operations outside their domains.  Checked for every
+    engine path by :meth:`~repro.core.ga.GAConfig.resolved`.
+    """
+    part_kinds = getattr(problem.encoding, "part_kinds", ())
+    for kind, op in zip(part_kinds, getattr(config.crossover, "parts", ())):
+        if kind == "assignment" and getattr(op, "repair", False):
+            raise ValueError(
+                f"a repairing {type(op).__name__} on an assignment part "
+                f"would move machine indices between operations (out of "
+                f"their domains where those differ); pass repair=False")
+
+
 def check_array_support(problem: Any, config: Any,
                         selection: bool = True) -> None:
     """Raise ``ValueError`` when ``problem``/``config`` cannot run array-native.
 
     Checks the genome kind (single fixed-length array, or a composite
-    whose encoding publishes ``part_spans`` column widths), that every
+    whose encoding publishes ``part_spans`` column widths) and that every
     resolved operator has a registered batch twin (a composite's parts
-    included) and that no assignment part meets a repairing crossover.
-    ``config`` must be a resolved :class:`~repro.core.ga.GAConfig`
-    (operators filled in).
+    included).  ``config`` must be a resolved
+    :class:`~repro.core.ga.GAConfig` (operators filled in).
     ``selection=False`` skips the selection twin -- the cellular engines
     never call ``config.selection`` (mate choice is the neighbourhood
     tournament), so a custom selection without a batch twin must not
@@ -101,20 +118,27 @@ def check_array_support(problem: Any, config: Any,
         batch_selection_for(config.selection)
     batch_crossover_for(config.crossover)
     batch_mutation_for(config.mutation)
-    part_kinds = getattr(problem.encoding, "part_kinds", ())
-    for kind, op in zip(part_kinds, getattr(config.crossover, "parts", ())):
-        if kind == "assignment" and getattr(op, "repair", False):
-            raise ValueError(
-                f"a repairing {type(op).__name__} on an assignment part "
-                f"would move machine indices between operations (out of "
-                f"their domains where those differ); pass repair=False")
+
+
+def takes_arrays(problem: Any, config: Any, selection: bool = True) -> bool:
+    """Whether :func:`check_array_support` passes: the input stacks.
+
+    Engines run the array generation whenever it does, whatever
+    ``config.substrate`` says; ``substrate="array"`` only adds the
+    refusal of inputs that do not stack.
+    """
+    try:
+        check_array_support(problem, config, selection)
+    except ValueError:
+        return False
+    return True
 
 
 def stable_topk(values: Array, k: int) -> Array:
     """Indices of the ``k`` smallest values, ascending, ties by index.
 
     Equivalent to ``np.argsort(values, kind="stable")[:k]`` -- and hence
-    to the object substrate's ``sorted(..., key=objective)`` truncations,
+    to the per-pair path's ``sorted(..., key=objective)`` truncations,
     which Python's stable sort makes tie-stable -- but selects via
     ``argpartition`` first so the common ``k << n`` elite case stays
     ``O(n + k log k)``.
@@ -141,7 +165,7 @@ def random_matrix(problem: Any, count: int,
     """``count`` random genomes stacked into a chromosome matrix.
 
     Draws with the exact same ``problem.random_genome`` calls as the
-    object substrate, via ``Problem.random_matrix``.  Raises when the
+    per-pair path, via ``Problem.random_matrix``.  Raises when the
     genomes cannot form a matrix.
     """
     matrix = problem.random_matrix(count, rng)
@@ -251,7 +275,7 @@ class GridState(ArrayState):
 class ArrayPopulationView(Population):
     """Read-only :class:`Population` facade over an :class:`ArrayState`.
 
-    Observers and result plumbing written against the object substrate
+    Observers and result plumbing written against ``Population``
     keep working: ``best()``/``stats()``/``objectives()`` read the arrays
     directly (vectorised -- no per-individual boxing in the per-generation
     hot path), while iteration/indexing materialise real ``Individual``
@@ -324,7 +348,7 @@ class Brood:
     """One population's offspring for one generation, bred in stages.
 
     Construction makes the generation's first draws on the population's
-    own RNG, in the object substrate's stage order: fitness, selection,
+    own RNG, in the per-pair path's stage order: fitness, selection,
     crossover gates, crossover draws, mutation gates.
     :func:`vary_broods` then runs the crossover kernels, makes each
     brood's mutation draws and immigrants (the rest of the stage order)
@@ -494,7 +518,7 @@ def elitist_merge_arrays(state: ArrayState, offspring: Array,
 
     Next generation = ``n_elites`` best parents + best offspring fill
     (+ next-best parents when offspring run short), in the same
-    best-first, tie-stable order as the object substrate.
+    best-first, tie-stable order as the per-pair path.
     """
     rows, objs = elitist_merge_rows(
         state.matrix[None], state.objectives[None], offspring[None],

@@ -207,7 +207,13 @@ class WeightedIslandMOGA:
                         worst_idx = int(np.argmax(isl.population.objectives()))
                         from ..core.individual import Individual
                         improved_ind = Individual(improved, objective=obj)
-                        isl.population[worst_idx] = improved_ind
+                        if isl.arrays is not None:
+                            isl.arrays.matrix[worst_idx] = \
+                                prob.stack_genomes([improved])[0]
+                            isl.arrays.objectives[worst_idx] = obj
+                            isl.arrays.touch()
+                        else:
+                            isl.population[worst_idx] = improved_ind
                         # feed the improvement straight into the archive:
                         # it may sit on a part of the front the island's
                         # scalarisation never visits again

@@ -32,12 +32,13 @@ Three conformance contracts hold throughout (pinned by
   with exactly the same calls as their scalar twins and return the same
   choices (as index arrays instead of ``Individual`` lists), which is
   what makes the array substrate's rate-0 generations *exactly* equal to
-  the object substrate's under a shared RNG.
+  the per-pair loop's under a shared RNG.
 
 The array substrate's *parameter drawing* is vectorised (one call for
 all rows), so it is distribution-equivalent but not stream-identical to
 the per-pair draws of the scalar operators -- the documented limit of
-array conformance (see ``docs/architecture.md``, "Two substrates").
+array conformance (see ``docs/architecture.md``, "One generation per
+input").
 
 Dispatch is by operator class: :func:`batch_selection_for` /
 :func:`batch_crossover_for` / :func:`batch_mutation_for` map a

@@ -29,12 +29,10 @@ property: multiset closure).
 
 Every operator with a row-wise kernel in :mod:`repro.operators.batch`
 is a :class:`KernelCrossover`: a per-pair :meth:`~KernelCrossover.draw`
-makes the operator's RNG calls, and the call is that draw plus the
-kernel on a one-row block -- the operator has no scalar child loop of
-its own.  Because the draw is split from the kernel, the object
-substrate draws pair by pair and varies a whole generation with one
-kernel call (:mod:`repro.operators.stages`).  Multi-dimensional genomes
-reach the kernel flattened in row-major order.
+makes the RNG calls its replaced scalar loop made, and the call is that
+draw plus the kernel on a one-row block -- the operator has no scalar
+child loop of its own.  Multi-dimensional genomes reach the kernel
+flattened in row-major order.
 """
 
 from __future__ import annotations
@@ -461,17 +459,6 @@ class CompositeCrossover:
         self.spans = None if spans is None else tuple(int(w) for w in spans)
         if self.spans is not None and len(self.spans) != len(self.parts):
             raise ValueError("spans must give one column width per part")
-
-    def draw(self, a, b, rng):
-        """Per-pair draws of the live parts, in part order.
-
-        The live parts are those the batch twin slices (an operator and
-        a non-zero span); the params are the twin kernel's.  Each part
-        must be an array its operator's kernel reads as it is.
-        """
-        return [op.draw(pa, pb, rng)
-                for op, pa, pb, width in zip(self.parts, a, b, self.spans)
-                if op is not None and width > 0]
 
     def __call__(self, a, b, rng):
         if not isinstance(a, tuple) or len(a) != len(self.parts):

@@ -51,12 +51,6 @@ class KernelMutation:
 
     dtype: type | None = None
 
-    def kernel_input(self, genome: np.ndarray
-                     ) -> tuple["KernelMutation", np.ndarray]:
-        """``(operator, array)``: the operator whose kernel reproduces
-        this one on ``genome``, and the genome as that kernel reads it."""
-        return self, np.asarray(genome, dtype=self.dtype)
-
     def draw(self, genome: np.ndarray, rng: np.random.Generator) -> Any:
         """Kernel params for ``genome`` as a one-row block.
 
@@ -68,9 +62,9 @@ class KernelMutation:
     def __call__(self, genome: np.ndarray,
                  rng: np.random.Generator) -> np.ndarray:
         from .batch import split_mutation_for
-        op, g = self.kernel_input(genome)
+        g = np.asarray(genome, dtype=self.dtype)
         params = self.draw(g, rng)
-        out = split_mutation_for(op).kernel(op, g.reshape(1, -1), params)
+        out = split_mutation_for(self).kernel(self, g.reshape(1, -1), params)
         return out.reshape(g.shape)
 
 
@@ -219,14 +213,6 @@ class CompositeMutation:
         self.spans = None if spans is None else tuple(int(w) for w in spans)
         if self.spans is not None and len(self.spans) != len(self.parts):
             raise ValueError("spans must give one column width per part")
-
-    def draw(self, genome, rng):
-        """Draws of the live parts, in part order (see
-        :meth:`CompositeCrossover.draw
-        <repro.operators.crossover.CompositeCrossover.draw>`)."""
-        return [op.draw(part, rng)
-                for op, part, width in zip(self.parts, genome, self.spans)
-                if op is not None and width > 0]
 
     def __call__(self, genome, rng):
         if not isinstance(genome, tuple) or len(genome) != len(self.parts):

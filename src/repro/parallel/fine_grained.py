@@ -27,22 +27,22 @@ Neighbourhood shapes follow the cellular-GA literature (Alba & Dorronsoro
 [23]): ``L5`` (von Neumann), ``L9`` (axial radius 2), ``C9`` (Moore),
 ``C13`` (Moore + axial radius 2).
 
-Two substrates (``GAConfig.substrate``): the ``object`` path keeps a
-``list[list[Individual]]`` grid, draws cell by cell and varies all cells
-with one kernel call per operator; the ``array``
-path keeps the grid as a :class:`~repro.core.substrate.GridState` --
-a ``(rows, cols, n_genes)`` chromosome tensor plus a ``(rows, cols)``
-objective grid -- and runs one whole synchronous generation as batched
-kernels: neighbourhood selection is a gather through the precomputed
-toroidal offset table of :func:`grid_neighbor_table`, crossover/mutation
-reuse the :mod:`repro.operators.batch` kernels on the gated row subsets,
-and evaluation goes through the problem's vectorised batch decoder.
-This is the cell-per-thread layout of Luo & El Baz's GPU papers
+A synchronous generation of an input that stacks into a matrix runs on
+the grid: a :class:`~repro.core.substrate.GridState` -- a
+``(rows, cols, n_genes)`` chromosome tensor plus a ``(rows, cols)``
+objective grid -- and one whole generation as batched kernels:
+neighbourhood selection is a gather through the precomputed toroidal
+offset table of :func:`grid_neighbor_table`, crossover/mutation reuse
+the :mod:`repro.operators.batch` kernels on the gated row subsets, and
+evaluation goes through the problem's vectorised batch decoder.  This
+is the cell-per-thread layout of Luo & El Baz's GPU papers
 (arXiv:1903.10722, 1903.10741) expressed as NumPy tensors.  Per-cell RNG
 draws (mate pair + the two rate gates) come from one raw block that
-reproduces the object-path call order exactly, so grid generations are
-bit-equal to object generations at the rate extremes under a shared seed
--- the object/grid conformance contract.
+reproduces the per-cell call order of :meth:`CellularGA._breed_cell`
+exactly, so grid generations equal the per-cell loop at the rate
+extremes under a shared seed.  Inputs that do not stack, and the
+asynchronous line sweep, keep a ``list[list[Individual]]`` grid and
+breed cell by cell.
 """
 
 from __future__ import annotations
@@ -53,16 +53,16 @@ import numpy as np
 
 from ..core.backend import active_namespace as _xp
 from ..core.ga import GAConfig, GAResult
-from ..core.individual import Individual, copy_genome
+from ..core.individual import Individual
 from ..core.observers import HistoryRecorder, Observer
 from ..core.population import Population
 from ..core.rng import cell_draws, make_rng
 from ..core.substrate import (ArrayPopulationView, GridState,
-                              check_array_support, random_matrix)
+                              check_array_support, random_matrix,
+                              takes_arrays)
 from ..core.termination import MaxGenerations, Termination, TerminationState
 from ..encodings.base import Problem
 from ..operators.batch import batch_crossover_for, batch_mutation_for
-from ..operators.stages import Stage, value
 
 __all__ = ["NEIGHBORHOODS", "CellularGA", "neighborhood_offsets",
            "grid_neighbor_table"]
@@ -120,11 +120,11 @@ class CellularGA:
         shape name from :data:`NEIGHBORHOODS`.
     config:
         reuses GAConfig for operator choices and rates (population_size is
-        ignored -- the grid defines it).  ``config.substrate`` selects the
-        generation substrate: ``"object"`` (per-cell breeding, the
-        reference) or ``"array"`` (the grid lives as a
-        :class:`~repro.core.substrate.GridState` tensor and every stage
-        of the synchronous update runs as one batched kernel pass).
+        ignored -- the grid defines it).  A synchronous generation of an
+        input that stacks runs on the
+        :class:`~repro.core.substrate.GridState` tensor, every stage as
+        one batched kernel pass; other inputs breed cell by cell.
+        ``config.substrate="array"`` refuses the latter up front.
     replacement:
         ``"if_better"`` (offspring replaces the cell only when strictly
         better -- elitist local replacement, the common cGA choice) or
@@ -135,9 +135,8 @@ class CellularGA:
         semantics) or ``"asynchronous"`` (fixed line sweep: cells update
         in place row-major, so information diffuses within a generation --
         the uniprocessor emulation Kohlmorgen et al. [19] discuss).  The
-        array substrate implements the synchronous model only: the line
-        sweep is sequential by definition (each cell must see its left
-        neighbour's update), so it stays on the object substrate.
+        line sweep is sequential by definition (each cell must see its
+        left neighbour's update), so it always breeds cell by cell.
     """
 
     def __init__(self, problem: Problem, rows: int = 8, cols: int = 8,
@@ -160,14 +159,18 @@ class CellularGA:
         self.neighborhood = neighborhood
         base = config or GAConfig()
         self.config = base.resolved(problem)
-        self.substrate = self.config.substrate
-        if self.substrate == "array":
+        if self.config.substrate == "array":
             if update == "asynchronous":
                 raise ValueError(
                     "the asynchronous line sweep updates cells in place "
                     "(inherently sequential); substrate='array' supports "
                     "update='synchronous' only")
             check_array_support(problem, self.config, selection=False)
+        #: the path that runs: the grid whenever the input stacks
+        self.substrate = "object"
+        if update == "synchronous" and takes_arrays(problem, self.config,
+                                                    selection=False):
+            self.substrate = "array"
         self.termination = termination or MaxGenerations(100)
         self.rng = make_rng(seed)
         self.replacement = replacement
@@ -266,36 +269,6 @@ class CellularGA:
             child = Individual(cfg.mutation(child.genome, self.rng))
         return child
 
-    def _breed_cells(self) -> list[Individual]:
-        """Every cell's offspring against the *old* grid, row-major.
-
-        The draws are :meth:`_breed_cell`'s, cell by cell; the crossovers
-        and the mutations then run as one kernel call each
-        (:class:`~repro.operators.stages.Stage`).  A mutation draw reads
-        only its child's shape, so it draws on the centre genome while
-        the child is pending; a one-shot mutation needs the child itself
-        and runs that cell's crossover first.
-        """
-        cfg = self.config
-        rng = self.rng
-        cross = Stage(cfg.crossover, children=2)
-        mutate = Stage(cfg.mutation)
-        children = []
-        for r in range(self.rows):
-            for c in range(self.cols):
-                centre = self.grid[r][c].genome
-                mate = self._local_mate(r, c).genome
-                if rng.random() < cfg.crossover_rate:
-                    child = cross.add(rng, centre, mate)[0]
-                else:
-                    child = copy_genome(centre)
-                if rng.random() < cfg.mutation_rate:
-                    child = mutate.add(rng, child)
-                children.append(child)
-        cross.run()
-        mutate.run()
-        return [Individual(value(child)) for child in children]
-
     def _replace_cell(self, r: int, c: int, child: Individual) -> None:
         if (self.replacement == "always"
                 or child.objective < self.grid[r][c].objective):
@@ -305,10 +278,10 @@ class CellularGA:
         """One synchronous generation as tensor kernels (lines 4-7 batched).
 
         Stage order, rate arithmetic and per-cell RNG draws (mate pair,
-        crossover gate, mutation gate -- in exactly the object path's
+        crossover gate, mutation gate -- in exactly the per-cell loop's
         row-major order, rebuilt from one raw block by
         :func:`~repro.core.rng.cell_draws`) are identical to
-        :meth:`_breed_cell`; the per-cell work is batched too:
+        :meth:`_breed_cell`'s; the per-cell work is batched too:
         neighbourhood selection is one gather
         through the offset table, crossover/mutation run on the gated row
         subsets via the :mod:`repro.operators.batch` kernels, evaluation
@@ -356,7 +329,9 @@ class CellularGA:
         if self.substrate == "array":
             self._step_grid()
         elif self.update == "synchronous":
-            flat = self._breed_cells()
+            # every cell breeds against the *old* grid, row-major
+            flat = [self._breed_cell(r, c) for r in range(self.rows)
+                    for c in range(self.cols)]
             self._evaluate(flat)
             for r in range(self.rows):
                 for c in range(self.cols):

@@ -50,7 +50,7 @@ class IslandOfCellularGA:
     ``migration.rate`` configurable), always integrated by replacing the
     target island's worst cells -- on both substrates.
 
-    With ``config.substrate="array"`` every island evolves on the grid
+    When the input stacks into a matrix every island evolves on the grid
     tensor of :class:`~repro.parallel.fine_grained.CellularGA` and the
     island grids are bound as slices of one
     ``(n_islands, rows*cols, n_genes)`` tensor, so the whole hybrid --
@@ -73,7 +73,6 @@ class IslandOfCellularGA:
         # policy's replacement says
         self._integrate = replace(self.migration, replacement="worst")
         self.termination = termination or MaxGenerations(100)
-        self.substrate = (config or GAConfig()).substrate
         self._tensor: np.ndarray | None = None
         self._tensor_objectives: np.ndarray | None = None
         rngs = spawn_rngs(seed, n_islands + 1)
@@ -84,6 +83,8 @@ class IslandOfCellularGA:
                        seed=rngs[i])
             for i in range(n_islands)
         ]
+        # the path the islands chose (they share one config)
+        self.substrate = self.islands[0].substrate
         self.state = TerminationState()
         self.global_history = HistoryRecorder()
 

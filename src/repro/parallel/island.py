@@ -37,18 +37,22 @@ Each island evaluates its sub-population through the vectorised batch path
 (:meth:`repro.encodings.base.Problem.batch_evaluator`) whenever the
 encoding ships a batch decoder.
 
-With ``GAConfig.substrate="array"`` the islands evolve on the array
-substrate (:mod:`repro.core.substrate`); the serial engine then binds all
-island populations as slices of one ``(n_islands, pop, n_genes)`` tensor,
-steps the islands in lockstep and makes migration pure row slice
-assignment (:func:`repro.parallel.migration.integrate_immigrant_rows`) --
-no ``Individual`` boxing anywhere in the generation loop.  Each island
+When every island's input stacks into a matrix the islands evolve on the
+array substrate (:mod:`repro.core.substrate`); the serial engine then
+binds all island populations as slices of one
+``(n_islands, pop, n_genes)`` tensor, steps the islands in lockstep and
+makes migration pure row slice assignment
+(:func:`repro.parallel.migration.integrate_immigrant_rows`) -- no
+``Individual`` boxing anywhere in the generation loop.  Each island
 makes its own draws on its own RNG, then all islands' offspring are
 varied by one kernel call per operator and decoded as one matrix per
 generation, exactly the sub-population array decoding of the dual
 heterogeneous island GA (Luo & El Baz, 2019); results equal stepping
-every island alone.  Process-parallel islands, islands of unequal size
-and the object substrate step each island on its own.
+every island alone.  Process-parallel islands and islands of unequal
+size step each island on its own.  Islands whose inputs do not all
+stack (an operator without a batch twin on one island, say) and island
+merging, which resizes populations, breed ``Individual`` objects pair by
+pair.
 """
 
 from __future__ import annotations
@@ -208,8 +212,7 @@ class IslandGA:
         if len(substrates) > 1:
             raise ValueError("all islands must share one substrate, got "
                              f"{sorted(substrates)}")
-        self.substrate = substrates.pop()
-        if self.substrate == "array" and merge_on_stagnation is not None:
+        if substrates == {"array"} and merge_on_stagnation is not None:
             raise ValueError("merge_on_stagnation needs the object "
                              "substrate (island merging resizes "
                              "populations); use substrate='object'")
@@ -222,6 +225,14 @@ class IslandGA:
                      seed=rngs[i])
             for i, cfg in enumerate(configs)
         ]
+        # one path for every island: arrays only when all inputs stack
+        if merge_on_stagnation is None and all(
+                isl.substrate == "array" for isl in self.islands):
+            self.substrate = "array"
+        else:
+            self.substrate = "object"
+        for isl in self.islands:
+            isl.substrate = self.substrate
         self._shared_start = shared_start
         self.state = TerminationState()
         self.global_history = HistoryRecorder()
@@ -364,7 +375,7 @@ class IslandGA:
         ``(n_islands, pop, n_genes)`` tensor, so the whole exchange is
         slice assignment on two arrays -- no per-individual work.  Same
         policy semantics (and the same migration-RNG call pattern) as the
-        object path.
+        per-pair path.
         """
         active = self._active
         pos_of = {isl: k for k, isl in enumerate(active)}

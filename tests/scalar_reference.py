@@ -1,10 +1,14 @@
 """Transcriptions of the per-candidate scalar code the kernels replaced.
 
 The scalar crossovers and mutations that have a batch kernel are now
-that kernel on a one-row block, and the object substrate varies a whole
-generation with one kernel call per operator.  These are the loops they
-replaced, kept verbatim as the tests' oracles: every operator call and
-every generation must equal them in results and in RNG state.
+that kernel on a one-row block.  These are the loops they replaced,
+kept verbatim as the tests' oracles: every operator call and every
+per-pair generation must equal them in results and in RNG state.
+
+``per_pair()`` runs the engines built inside it on their per-pair path
+(``SimpleGA.make_offspring``, ``CellularGA._breed_cell``) whatever their
+input: the reference the array generation is held to at the rate
+extremes.  ``path(substrate)`` applies it for ``"object"`` only.
 
 ``reference(op)`` returns the transcribed callable for a configured
 operator (composites recurse into their parts; operators without a
@@ -15,6 +19,9 @@ reference, since they were never replaced).
 became one scoring call: every candidate order is built and decoded on
 its own, and every decode is counted.
 """
+
+from contextlib import contextmanager, nullcontext
+from unittest import mock
 
 import numpy as np
 
@@ -270,6 +277,21 @@ def reference(op):
 
 # -- generation loops ---------------------------------------------------------
 
+@contextmanager
+def per_pair():
+    """Engines built in the block breed pair by pair, whatever the input."""
+    with mock.patch("repro.core.ga.takes_arrays", return_value=False), \
+            mock.patch("repro.parallel.fine_grained.takes_arrays",
+                       return_value=False):
+        yield
+
+
+def path(substrate):
+    """``per_pair()`` for ``"object"``, a no-op for ``"array"``: a test
+    parametrised over both substrates then covers both paths."""
+    return per_pair() if substrate == "object" else nullcontext()
+
+
 def make_offspring(ga, population, count):
     """``SimpleGA.make_offspring`` as a per-pair loop of operator calls."""
     cfg = ga.config
@@ -310,12 +332,6 @@ def breed_cell(cga, r, c):
     if cga.rng.random() < cfg.mutation_rate:
         child = Individual(reference(cfg.mutation)(child.genome, cga.rng))
     return child
-
-
-def breed_cells(cga):
-    """The synchronous step's offspring: one ``breed_cell`` per cell."""
-    return [breed_cell(cga, r, c) for r in range(cga.rows)
-            for c in range(cga.cols)]
 
 
 # -- NEH ----------------------------------------------------------------------

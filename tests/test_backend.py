@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from scalar_reference import path
 import repro
 from repro.api import SolverSpec, solve
 from repro.api.registry import SpecError
@@ -244,8 +245,10 @@ class TestBitIdentity:
         base = SolverSpec(instance="ft06", substrate=substrate,
                           ga={"population_size": 20},
                           termination={"max_generations": 4}, seed=13)
-        a = solve(base)
-        b = solve(base.replace(backend="instrumented"))
+        with path(substrate):
+            a = solve(base)
+            b = solve(base.replace(backend="instrumented"))
+        assert a.extra["substrate"] == substrate
         assert a.best_objective == b.best_objective
         assert a.evaluations == b.evaluations
         np.testing.assert_array_equal(a.best_genome, b.best_genome)

@@ -3,12 +3,12 @@
 Mirrors the layers of ``tests/test_substrate.py`` for the fine-grained
 engine: neighbourhood-gather correctness (the offset index tables that
 replace per-cell coordinate arithmetic), closure of the grid kernels for
-the permutation/repetition crossovers, exact object-vs-grid equality at
-the rate extremes under a shared seed (the per-cell RNG draw order is
-preserved by construction), and search-quality parity on a ta-style flow
-shop.  The hybrid island-of-cellular engine is exercised on the same
-grid tensors, including the shared ``(n_islands, cells, n_genes)``
-binding.
+the permutation/repetition crossovers, exact equality of the grid with
+the per-cell loop (``scalar_reference.per_pair``) at the rate extremes
+under a shared seed (the per-cell RNG draw order is preserved by
+construction), and search-quality parity on a ta-style flow shop.  The
+hybrid island-of-cellular engine is exercised on the same grid tensors,
+including the shared ``(n_islands, cells, n_genes)`` binding.
 """
 
 import numpy as np
@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from scalar_reference import path
 from repro import (GAConfig, MaxGenerations, MigrationPolicy, Population,
                    Problem, SolverSpec)
 from repro.core import rng as rng_module
@@ -157,17 +158,21 @@ class TestGridClosure:
             assert np.array_equal(np.sort(row), base)
 
 
-# -- rate-extreme object-vs-grid bit-equality ------------------------------------
+# -- rate-extreme per-cell-vs-grid bit-equality ------------------------------
 
 def run_cell_pair(problem, seed=11, gens=4, rows=3, cols=4,
                   neighborhood="L5", replacement="if_better", **cfg_kwargs):
-    """Run object and grid cellular engines with identical configs + seed."""
+    """Run the per-cell loop and the grid with one config and seed."""
     out = {}
     for substrate in ("object", "array"):
-        ga = CellularGA(problem, rows=rows, cols=cols,
-                        neighborhood=neighborhood, replacement=replacement,
-                        config=GAConfig(substrate=substrate, **cfg_kwargs),
-                        termination=MaxGenerations(gens), seed=seed)
+        with path(substrate):
+            ga = CellularGA(problem, rows=rows, cols=cols,
+                            neighborhood=neighborhood,
+                            replacement=replacement,
+                            config=GAConfig(substrate=substrate,
+                                            **cfg_kwargs),
+                            termination=MaxGenerations(gens), seed=seed)
+        assert ga.substrate == substrate
         ga.run()
         out[substrate] = ga
     return out["object"], out["array"]
@@ -235,8 +240,10 @@ class TestRateExtremeEquivalence:
         # row-major random_matrix draws == the object path's nested
         # comprehension, so generation 0 matches before any evolution
         for substrate in ("object", "array"):
-            ga = CellularGA(ft06_problem, rows=3, cols=3,
-                            config=GAConfig(substrate=substrate), seed=13)
+            with path(substrate):
+                ga = CellularGA(ft06_problem, rows=3, cols=3,
+                                config=GAConfig(substrate=substrate),
+                                seed=13)
             ga.initialize()
             if substrate == "object":
                 matrix, objs = object_grid_arrays(ga)
@@ -343,14 +350,16 @@ class TestCellDraws:
 
 class TestQualityAndEngines:
     def test_ta_style_flowshop_parity(self):
-        """Grid search quality tracks the object substrate on ta-fs-20x5."""
+        """Grid search quality tracks the per-cell loop on ta-fs-20x5."""
         bests = {"object": [], "array": []}
         for substrate in bests:
             for seed in (1, 2, 3):
-                report = repro.solve(SolverSpec(
-                    instance="ta-fs-20x5-shaped", engine="cellular",
-                    substrate=substrate, ga={"population_size": 36},
-                    termination={"max_generations": 30}, seed=seed))
+                with path(substrate):
+                    report = repro.solve(SolverSpec(
+                        instance="ta-fs-20x5-shaped", engine="cellular",
+                        substrate=substrate, ga={"population_size": 36},
+                        termination={"max_generations": 30}, seed=seed))
+                assert report.extra["substrate"] == substrate
                 bests[substrate].append(report.best_objective)
         mean_obj = np.mean(bests["object"])
         mean_arr = np.mean(bests["array"])
@@ -418,12 +427,14 @@ class TestQualityAndEngines:
             flow_shop(4, 2, seed=1)))
         grids = []
         for substrate in ("object", "array"):
-            ga = IslandOfCellularGA(
-                problem, n_islands=3, rows=3, cols=3,
-                config=GAConfig(substrate=substrate, crossover_rate=0.0,
-                                mutation_rate=0.0),
-                migration=MigrationPolicy(interval=1, rate=2),
-                termination=MaxGenerations(6), seed=seed)
+            with path(substrate):
+                ga = IslandOfCellularGA(
+                    problem, n_islands=3, rows=3, cols=3,
+                    config=GAConfig(substrate=substrate, crossover_rate=0.0,
+                                    mutation_rate=0.0),
+                    migration=MigrationPolicy(interval=1, rate=2),
+                    termination=MaxGenerations(6), seed=seed)
+            assert ga.substrate == substrate
             ga.run()
             grids.append([isl.population.to_arrays(problem)
                           for isl in ga.islands])

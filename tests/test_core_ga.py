@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from scalar_reference import path
 from repro.core import (GAConfig, HistoryRecorder, MaxEvaluations,
                         MaxGenerations, SimpleGA, Stagnation, TargetObjective)
 from repro.encodings import OperationBasedEncoding, Problem
@@ -160,8 +161,10 @@ class TestPartialReplacementEdges:
                              substrate=substrate),
                     GAConfig(population_size=8, immigration_rate=1.0,
                              substrate=substrate)):
-            result = SimpleGA(ft06_problem, cfg, MaxGenerations(3),
-                              seed=7).run()
+            with path(substrate):
+                ga = SimpleGA(ft06_problem, cfg, MaxGenerations(3), seed=7)
+            assert ga.substrate == substrate
+            result = ga.run()
             assert len(result.population) == cfg.population_size
             assert result.generations == 3
 

@@ -243,6 +243,30 @@ class TestWeightedIslandMOGA:
         moga.run()
         assert len(calls) >= 2
 
+    def test_local_search_improvement_replaces_the_worst_member(self):
+        # one epoch, so the improved genome is in the final population
+        improved = {}
+
+        def ls(genome, problem, rng):
+            better = swap_hill_climb(genome, problem, rng)
+            improved[id(problem)] = (better, problem.evaluate(better),
+                                     problem.evaluate(genome))
+            return better
+
+        moga = WeightedIslandMOGA(self._factory(), n_islands=2,
+                                  config=GAConfig(population_size=6),
+                                  termination=MaxGenerations(3), epoch=3,
+                                  seed=2, local_search=ls)
+        moga.run()
+        hits = 0
+        for isl, prob in zip(moga.islands, moga.problems):
+            genome, obj, given = improved[id(prob)]
+            if obj < given:
+                assert isl.population.best().objective == obj
+                assert np.array_equal(isl.population.best().genome, genome)
+                hits += 1
+        assert hits >= 1
+
 
 class TestLocalSearch:
     def _problem(self):

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scalar_reference import path
 from repro import GAConfig, MaxGenerations, Problem, SimpleGA, SolverSpec, solve
 from repro.encodings.assignment_sequence import HybridFlowShopEncoding
 from repro.heuristics import (heuristic_genome, heuristic_order,
@@ -387,14 +388,17 @@ class TestHeuristicEnginesAndSeeding:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_fjsp_rate_zero_is_exact_across_substrates(self, seed):
-        reports = [solve(SolverSpec(instance="fjsp-8x5-shaped",
-                                    substrate=substrate, seed=seed,
-                                    ga={"population_size": 16,
-                                        "crossover_rate": 0.0,
-                                        "mutation_rate": 0.0,
-                                        "immigration_rate": 0.25},
-                                    termination={"max_generations": 4}))
-                   for substrate in ("object", "array")]
+        reports = []
+        for substrate in ("object", "array"):
+            with path(substrate):
+                reports.append(solve(SolverSpec(
+                    instance="fjsp-8x5-shaped", substrate=substrate,
+                    seed=seed, ga={"population_size": 16,
+                                   "crossover_rate": 0.0,
+                                   "mutation_rate": 0.0,
+                                   "immigration_rate": 0.25},
+                    termination={"max_generations": 4})))
+            assert reports[-1].extra["substrate"] == substrate
         assert reports[0].best_objective == reports[1].best_objective
         assert reports[0].evaluations == reports[1].evaluations
         for a, b in zip(*(r.best_genome for r in reports)):

@@ -13,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from scalar_reference import path
 from repro import GAConfig, IslandGA, MaxGenerations, SimpleGA, SolverSpec
 from repro.api.components import resolve_problem
 from repro.core.rng import spawn_rngs
@@ -202,8 +203,10 @@ class TestEpochsNeverOverrun:
         """A limit that is no multiple of the migration interval ends the
         run on the limit, not on the next epoch boundary."""
         from repro import solve
-        report = solve(SolverSpec(
-            instance="ft06", engine=engine, substrate=substrate,
-            ga={"population_size": 40},
-            termination={"max_generations": 12}, seed=1))
+        with path(substrate):
+            report = solve(SolverSpec(
+                instance="ft06", engine=engine, substrate=substrate,
+                ga={"population_size": 40},
+                termination={"max_generations": 12}, seed=1))
+        assert report.extra["substrate"] == substrate
         assert report.generations == 12

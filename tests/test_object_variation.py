@@ -1,19 +1,21 @@
-"""Object-substrate variation: per-pair draws, one kernel call per stage.
+"""Per-pair variation and the choice between the two generation paths.
 
 The scalar crossovers and mutations with a batch kernel are that kernel
-on a one-row block, and an object-substrate generation draws pair by
-pair but varies every pair with one kernel call per operator
-(:mod:`repro.operators.stages`).  Checked against the per-pair loops
-they replaced, transcribed in ``scalar_reference``:
+on a one-row block.  Inputs that do not stack into a matrix breed pair
+by pair (``SimpleGA.make_offspring``, ``CellularGA._breed_cell``);
+every other input runs the array generation.  Checked against the
+per-pair loops transcribed in ``scalar_reference``:
 
 1. every operator call equals its transcribed body, in results and in
    RNG state;
-2. ``SimpleGA.make_offspring`` and the cellular steps equal the per-pair
-   loops over every registered crossover x mutation, at the rate
-   extremes and in between, with odd broods, partial replacement and
-   immigration;
-3. an object generation makes one crossover and one mutation kernel
-   call.
+2. the per-pair generations equal the transcribed loops over every
+   registered crossover x mutation, at the rate extremes and in
+   between, with odd broods, partial replacement and immigration;
+3. an array generation makes one crossover and one mutation kernel
+   call;
+4. engines take the array path exactly when the input stacks, whatever
+   ``substrate`` says, and refuse a repairing crossover on an
+   assignment part on both paths.
 """
 
 from functools import partial
@@ -21,8 +23,11 @@ from functools import partial
 import numpy as np
 import pytest
 
+import repro
 import scalar_reference
 from repro import CellularGA, GAConfig, IslandGA, MaxGenerations, SimpleGA
+from repro.core.population import Population
+from repro.core.substrate import ArrayPopulationView
 from repro.encodings import (DispatchRuleEncoding,
                              FlowShopPermutationEncoding,
                              HybridFlowShopEncoding, OperationBasedEncoding,
@@ -39,7 +44,6 @@ from repro.operators import (ArithmeticCrossover, AssignmentMutation,
                              ShiftMutation, SwapMutation, UniformCrossover)
 from repro.operators import batch
 from repro.operators.batch import SplitTwin
-from repro.operators.stages import Stage, value
 
 
 def same(x, y) -> bool:
@@ -168,7 +172,7 @@ def test_every_kernel_operator_is_transcribed():
 # -- 2. whole generations vs the per-pair loops -------------------------------
 
 class RotateCrossover:
-    """A third-party crossover: no batch kernel, so it runs whole."""
+    """A third-party crossover: no batch kernel, so per pair only."""
 
     def __call__(self, a, b, rng):
         k = int(rng.integers(0, len(a)))
@@ -176,7 +180,7 @@ class RotateCrossover:
 
 
 class ReverseMutation:
-    """A third-party mutation: no batch kernel, so it runs whole."""
+    """A third-party mutation: no batch kernel, so per pair only."""
 
     def __call__(self, genome, rng):
         return genome[::-1].copy() if rng.random() < 0.5 else genome.copy()
@@ -191,16 +195,14 @@ def _hfs():
         # the default: uniform on the 2-D assignment part, OX on the order
         CompositeCrossover([UniformCrossover(repair=False), OrderCrossover()],
                            spans),
-        # a repairing n-point on a 2-D part is not what its kernel does
-        # in the stacked row: those pairs run whole
-        CompositeCrossover([NPointCrossover(2), PMXCrossover()], spans),
+        CompositeCrossover([NPointCrossover(2, repair=False),
+                            PMXCrossover()], spans),
         CompositeCrossover([None, JobBasedCrossover()], spans),
-        # real-valued assignment parts: crossed genomes mix dtypes, which
-        # neither composite kernel takes, clones keep one dtype
+        # real-valued assignment parts: crossed genomes mix dtypes
         CompositeCrossover([ArithmeticCrossover(), OrderCrossover()],
                            spans),
         CompositeCrossover([UniformCrossover(repair=False),
-                            OrderCrossover()]),  # no spans: runs whole
+                            OrderCrossover()]),  # no spans: per pair only
     ]
     mutations = [
         CompositeMutation([AssignmentMutation(domains, rate=0.3),
@@ -262,7 +264,8 @@ def test_cases_cover_every_registered_operator():
 def recorded(fn, log: list):
     def wrapper(*args):
         out = fn(*args)
-        log.append([ind.genome for ind in out])
+        log.append([ind.genome for ind in
+                    (out if isinstance(out, list) else [out])])
         return out
     return wrapper
 
@@ -280,9 +283,10 @@ def run_simple(family, crossover, mutation, seed=0, **config):
     logs = []
     engines = []
     for reference in (False, True):
-        ga = SimpleGA(problem, GAConfig(crossover=crossover,
-                                        mutation=mutation, **config),
-                      MaxGenerations(3), seed=seed)
+        with scalar_reference.per_pair():
+            ga = SimpleGA(problem, GAConfig(crossover=crossover,
+                                            mutation=mutation, **config),
+                          MaxGenerations(3), seed=seed)
         log = []
         fn = (partial(scalar_reference.make_offspring, ga) if reference
               else ga.make_offspring)
@@ -303,23 +307,20 @@ def run_cellular(family, crossover, mutation, seed=0, update="synchronous",
     logs = []
     engines = []
     for reference in (False, True):
-        cga = CellularGA(problem, rows=3, cols=3,
-                         config=GAConfig(crossover=crossover,
-                                         mutation=mutation, **config),
-                         termination=MaxGenerations(3), seed=seed,
-                         update=update)
+        with scalar_reference.per_pair():
+            cga = CellularGA(problem, rows=3, cols=3,
+                             config=GAConfig(crossover=crossover,
+                                             mutation=mutation, **config),
+                             termination=MaxGenerations(3), seed=seed,
+                             update=update)
         log = []
-        if update == "synchronous":
-            fn = (partial(scalar_reference.breed_cells, cga) if reference
-                  else cga._breed_cells)
-            cga._breed_cells = recorded(fn, log)
-        elif reference:
-            cga._breed_cell = partial(scalar_reference.breed_cell, cga)
+        fn = (partial(scalar_reference.breed_cell, cga) if reference
+              else cga._breed_cell)
+        cga._breed_cell = recorded(fn, log)
         cga.run()
         logs.append(log)
         engines.append(cga)
-    if update == "synchronous":
-        compare_logs(*logs)
+    compare_logs(*logs)
     new, ref = engines
     assert new.rng.bit_generator.state == ref.rng.bit_generator.state
     assert all(same(a.genome, b.genome) for a, b in
@@ -371,64 +372,7 @@ def test_asynchronous_cells_equal_per_cell_loop(family):
                  mutation_rate=0.8)
 
 
-# -- stages -------------------------------------------------------------------
-
-def test_stage_groups_layouts_and_matches_calls():
-    """Int and float genomes in one stage: one kernel call per layout."""
-    op = SwapMutation()
-    genomes = [np.arange(6), np.linspace(0, 1, 6), np.arange(6)[::-1].copy()]
-    rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
-    stage = Stage(op)
-    slots = [stage.add(rng, g) for g in genomes]
-    stage.run()
-    for slot, g in zip(slots, genomes):
-        assert same(value(slot), op(g, ref_rng))
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
-
-
-def test_one_shot_stage_runs_at_the_draw_and_forces_pending_inputs():
-    """A one-shot mutation of a pending child runs that child's
-    crossover first; the later stage run skips it."""
-    a, b = np.random.default_rng(5).permutation(8), np.arange(8)
-    rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
-    cross, mutate = Stage(OrderCrossover(), children=2), \
-        Stage(ScrambleMutation())
-    assert mutate.kernel is None and cross.kernel is not None
-    child, other = cross.add(rng, a, b)
-    mutated = mutate.add(rng, child)
-    assert child.value is not None and other.value is not None
-    cross.run()
-    want_a, want_b = OrderCrossover()(a, b, ref_rng)
-    assert same(value(other), want_b)
-    assert same(mutated, ScrambleMutation()(want_a, ref_rng))
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
-
-
-def test_composite_genomes_off_the_spans_run_whole():
-    """Parts that are not arrays, or do not fill the spans, skip the
-    kernel; a genome that is not a tuple fails as the operator does."""
-    op = CompositeMutation([None, SwapMutation()], spans=[2, 5])
-    for genome in ((np.zeros(2, dtype=np.int64), list(range(5))),
-                   (np.zeros(3, dtype=np.int64), np.arange(5))):
-        rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
-        got = Stage(op).add(rng, genome)
-        assert same(got, op(genome, ref_rng))
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
-    with pytest.raises(ValueError, match="tuple genome"):
-        Stage(op).add(np.random.default_rng(0), np.arange(7))
-
-
-def test_composite_without_spans_is_one_shot():
-    assert Stage(CompositeCrossover([OrderCrossover()]),
-                 children=2).kernel is None
-    assert Stage(CompositeMutation([SwapMutation()])).kernel is None
-    assert Stage(CompositeMutation([ScrambleMutation()],
-                                   spans=[4])).kernel is None
-    assert Stage(CompositeMutation([SwapMutation()],
-                                   spans=[4])).kernel is not None
-
-
-# -- 3. one kernel call per operator and generation ---------------------------
+# -- 3. one kernel call per operator and array generation ---------------------
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
@@ -463,17 +407,130 @@ def test_simple_generation_is_one_kernel_call_per_operator(kernel_calls):
     assert kernel_calls["mutation"] == [16] * 10
 
 
-def test_object_island_generation_is_one_call_per_island(kernel_calls):
-    IslandGA(_flow_problem(), n_islands=2, config=GAConfig(**SPY_CONFIG),
-             termination=MaxGenerations(10), seed=1).run()
-    assert len(kernel_calls["crossover"]) == 10 * 2
-    assert len(kernel_calls["mutation"]) == 10 * 2
-    assert min(kernel_calls["crossover"]) > 1
-
-
 def test_synchronous_cellular_generation_is_one_call(kernel_calls):
     CellularGA(_flow_problem(), rows=4, cols=4,
                config=GAConfig(**SPY_CONFIG),
                termination=MaxGenerations(10), seed=1).run()
     assert kernel_calls["crossover"] == [16] * 10
     assert kernel_calls["mutation"] == [16] * 10
+
+
+# -- 4. the path follows the input -------------------------------------------
+
+def _lot_streaming_problem():
+    from repro.encodings import LotStreamingEncoding
+    return Problem(LotStreamingEncoding(flexible_flow_shop(4, (2, 2), seed=3)))
+
+
+def _per_pair(engine) -> bool:
+    """Whether ``engine`` bred ``Individual`` objects pair by pair."""
+    pop = engine.population
+    return (engine.substrate == "object" and isinstance(pop, Population)
+            and not isinstance(pop, ArrayPopulationView))
+
+
+FALLBACKS = {
+    "lot-streaming": lambda: SimpleGA(
+        _lot_streaming_problem(), GAConfig(population_size=8),
+        MaxGenerations(2), seed=0),
+    "lox": lambda: SimpleGA(
+        _flow_problem(), GAConfig(population_size=8,
+                                  crossover=LinearOrderCrossover()),
+        MaxGenerations(2), seed=0),
+    "scramble": lambda: SimpleGA(
+        _flow_problem(), GAConfig(population_size=8,
+                                  mutation=ScrambleMutation()),
+        MaxGenerations(2), seed=0),
+    "cellular-lox": lambda: CellularGA(
+        _flow_problem(), rows=3, cols=3,
+        config=GAConfig(crossover=LinearOrderCrossover()),
+        termination=MaxGenerations(2), seed=0),
+    "async-sweep": lambda: CellularGA(
+        _flow_problem(), rows=3, cols=3, update="asynchronous",
+        termination=MaxGenerations(2), seed=0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FALLBACKS))
+def test_inputs_that_do_not_stack_breed_per_pair(name):
+    engine = FALLBACKS[name]()
+    engine.run()
+    assert _per_pair(engine)
+
+
+def test_island_merging_and_mixed_islands_breed_per_pair():
+    problem = _flow_problem()
+    merging = IslandGA(problem, n_islands=2,
+                       config=GAConfig(population_size=8),
+                       termination=MaxGenerations(4), seed=0,
+                       merge_on_stagnation=40)
+    mixed = IslandGA(problem, n_islands=2,
+                     config=[GAConfig(population_size=8),
+                             GAConfig(population_size=8,
+                                      crossover=LinearOrderCrossover())],
+                     termination=MaxGenerations(4), seed=0)
+    for engine in (merging, mixed):
+        result = engine.run()
+        assert result.extra["substrate"] == "object"
+        assert all(_per_pair(isl) for isl in engine.islands)
+
+
+def test_stackable_input_runs_the_array_path_on_either_substrate():
+    problem = _flow_problem()
+    ga = SimpleGA(problem, GAConfig(population_size=8), MaxGenerations(2),
+                  seed=0)
+    cga = CellularGA(problem, rows=3, cols=3,
+                     termination=MaxGenerations(2), seed=0)
+    ga.run()
+    cga.run()
+    assert ga.substrate == cga.substrate == "array"
+    assert ga.arrays is not None and cga.grid_state is not None
+
+
+GA_SPECS = {
+    "simple": {},
+    "master-slave": {"backend": "serial"},
+    "island": {"islands": 2},
+    "cellular": {"rows": 3, "cols": 3},
+    "hybrid": {"islands": 2, "rows": 3, "cols": 3, "migration_interval": 2},
+    "two-level": {"islands": 2, "migration_interval": 2,
+                  "broadcast_interval": 4},
+}
+
+
+@pytest.mark.parametrize("instance", ["ft06", "fjsp-8x5-shaped"])
+@pytest.mark.parametrize("engine", sorted(GA_SPECS))
+def test_object_and_array_substrates_agree_bit_for_bit(engine, instance):
+    reports = [repro.solve(repro.SolverSpec(
+        instance=instance, engine=engine, engine_params=GA_SPECS[engine],
+        substrate=substrate, seed=3, ga={"population_size": 18},
+        termination={"max_generations": 6}))
+        for substrate in ("object", "array")]
+    a, b = reports
+    assert a.extra["substrate"] == b.extra["substrate"] == "array"
+    assert a.best_objective == b.best_objective
+    assert a.evaluations == b.evaluations
+    assert a.to_dict()["best_genome"] == b.to_dict()["best_genome"]
+
+
+@pytest.mark.parametrize("instance", ["hfs-10x3x2-shaped",
+                                      "fjsp-8x5-shaped"])
+def test_repairing_assignment_crossover_is_refused_per_pair_too(instance):
+    # the per-pair call would repair machine indices to parent A's
+    # multiset, moving them onto operations outside their domains
+    from repro.encodings.assignment_sequence import FlexibleJobShopEncoding
+    from repro.instances import get_instance
+    inst = get_instance(instance)
+    encoding = (HybridFlowShopEncoding(inst) if instance.startswith("hfs")
+                else FlexibleJobShopEncoding(inst))
+    problem = Problem(encoding)
+    for part in (NPointCrossover(2), UniformCrossover()):
+        for spans in (encoding.part_spans, None):  # no spans: per pair
+            cross = CompositeCrossover([part, None], spans)
+            with pytest.raises(ValueError, match="assignment part"):
+                SimpleGA(problem, GAConfig(crossover=cross),
+                         MaxGenerations(2), seed=0)
+            with pytest.raises(ValueError, match="assignment part"):
+                CellularGA(problem, rows=2, cols=2,
+                           config=GAConfig(crossover=cross),
+                           update="asynchronous")

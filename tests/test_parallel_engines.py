@@ -182,15 +182,10 @@ class TestCellularGA:
                         termination=MaxGenerations(5), seed=2,
                         replacement="if_better")
         ga.initialize()
-        before = [[ga.grid[r][c].objective for c in range(3)]
-                  for r in range(3)]
+        before = ga.population.objectives()
         for _ in range(5):
             ga.step()
-        after = [[ga.grid[r][c].objective for c in range(3)]
-                 for r in range(3)]
-        for r in range(3):
-            for c in range(3):
-                assert after[r][c] <= before[r][c]
+        assert (ga.population.objectives() <= before).all()
 
     def test_always_replacement_allowed(self, problem):
         res = CellularGA(problem, rows=3, cols=3,

@@ -1,7 +1,7 @@
 """Conformance suite for the array-native variation substrate.
 
-Three layers of guarantees (see ``docs/architecture.md``, "Two
-substrates"):
+Three layers of guarantees (see ``docs/architecture.md``, "One
+generation per input"):
 
 1. **kernel equality** -- each deterministic batch kernel reproduces the
    scalar loop it replaced (transcribed in ``scalar_reference``)
@@ -10,8 +10,9 @@ substrates"):
    (hence permutation validity) like the scalar operators do;
 3. **engine equivalence** -- batch selections consume the RNG exactly
    like the scalar operators, so whole array generations are *exactly*
-   equal to object generations at the crossover/mutation rate extremes
-   under a shared seed, and quality stays on par at intermediate rates
+   equal to the per-pair loop (``scalar_reference.per_pair``) at the
+   crossover/mutation rate extremes under a shared seed, and quality
+   stays on par at intermediate rates
    (per-draw bit-identity there is impossible: batching reorders the
    stream).
 """
@@ -21,6 +22,7 @@ import pytest
 
 import repro
 import scalar_reference
+from scalar_reference import path, per_pair
 from repro import GAConfig, IslandGA, MaxGenerations, Population, SimpleGA
 from repro.core.substrate import (ArrayPopulationView, ArrayState,
                                   available_substrates, elitist_merge_arrays,
@@ -670,15 +672,16 @@ class TestSelectionStreamEquality:
 # -- layer 3b: rate-extreme exact equivalence ------------------------------------
 
 def run_pair(problem, seed=11, gens=5, **cfg_kwargs):
-    """Run object and array engines with identical configs and seed."""
-    results = {}
-    for substrate in ("object", "array"):
-        ga = SimpleGA(problem,
-                      GAConfig(substrate=substrate, **cfg_kwargs),
+    """Run the per-pair and the array engine with one config and seed."""
+    with per_pair():
+        obj_ga = SimpleGA(problem, GAConfig(**cfg_kwargs),
+                          MaxGenerations(gens), seed=seed)
+    arr_ga = SimpleGA(problem, GAConfig(substrate="array", **cfg_kwargs),
                       MaxGenerations(gens), seed=seed)
+    for ga in (obj_ga, arr_ga):
         ga.run()
-        results[substrate] = ga
-    return results["object"], results["array"]
+    assert (obj_ga.substrate, arr_ga.substrate) == ("object", "array")
+    return obj_ga, arr_ga
 
 
 def assert_populations_equal(obj_ga, arr_ga):
@@ -730,9 +733,9 @@ class TestRateExtremeEquivalence:
 
 
 class TestEngineRateExtremeEquivalence:
-    """Object and array runs of every multi-population engine are equal
+    """Per-pair and array runs of every multi-population engine are equal
     at crossover and mutation rate 0: selection, immigration, merges and
-    migration consume one stream on both substrates."""
+    migration consume one stream on both paths."""
 
     ENGINES = {
         "master-slave": {"backend": "serial"},
@@ -745,8 +748,10 @@ class TestEngineRateExtremeEquivalence:
 
     @staticmethod
     def assert_reports_equal(spec):
-        reports = [repro.solve(spec.replace(substrate=substrate))
-                   for substrate in ("object", "array")]
+        with per_pair():
+            reference = repro.solve(spec)
+        reports = [reference, repro.solve(spec.replace(substrate="array"))]
+        assert [r.extra["substrate"] for r in reports] == ["object", "array"]
         assert reports[0].best_objective == reports[1].best_objective
         assert reports[0].evaluations == reports[1].evaluations
         genomes = [r.best_genome if isinstance(r.best_genome, tuple)
@@ -778,14 +783,16 @@ class TestEngineRateExtremeEquivalence:
 
 class TestQualityParity:
     def test_ta_style_flowshop_parity(self):
-        """Array search quality tracks the object substrate on ta-fs-20x5."""
+        """Array search quality tracks the per-pair loop on ta-fs-20x5."""
         bests = {"object": [], "array": []}
         for substrate in bests:
             for seed in (1, 2, 3):
-                report = repro.solve(repro.SolverSpec(
-                    instance="ta-fs-20x5-shaped", substrate=substrate,
-                    ga={"population_size": 40},
-                    termination={"max_generations": 40}, seed=seed))
+                with path(substrate):
+                    report = repro.solve(repro.SolverSpec(
+                        instance="ta-fs-20x5-shaped", substrate=substrate,
+                        ga={"population_size": 40},
+                        termination={"max_generations": 40}, seed=seed))
+                assert report.extra["substrate"] == substrate
                 bests[substrate].append(report.best_objective)
         mean_obj = np.mean(bests["object"])
         mean_arr = np.mean(bests["array"])
@@ -994,10 +1001,12 @@ class TestSupportStructures:
 
         # the array view inherits the method, so this covers both substrates
         monkeypatch.setattr(Population, "unique_fraction", forbidden)
-        report = repro.solve(repro.SolverSpec(
-            instance="ft06", engine=engine, substrate=substrate,
-            engine_params=params, ga={"population_size": 16},
-            termination={"max_generations": 10}, seed=3))
+        with path(substrate):
+            report = repro.solve(repro.SolverSpec(
+                instance="ft06", engine=engine, substrate=substrate,
+                engine_params=params, ga={"population_size": 16},
+                termination={"max_generations": 10}, seed=3))
+        assert report.extra["substrate"] == substrate
         assert report.generations == 10
 
     def test_population_array_adapters_round_trip(self, ft06_problem):
