@@ -30,7 +30,9 @@ setup(
     packages=find_packages("src"),
     install_requires=["numpy>=1.22"],
     extras_require={
-        "test": ["pytest", "pytest-benchmark", "hypothesis"],
+        # networkx DiGraph exports for analysis; no solver path needs them
+        "graph": ["networkx"],
+        "test": ["pytest", "pytest-benchmark", "hypothesis", "networkx"],
     },
     entry_points={
         "console_scripts": ["repro=repro.cli:main"],

@@ -25,10 +25,6 @@ from ..encodings import (DispatchRuleEncoding, FlexibleJobShopEncoding,
                          OpenShopPermutationEncoding, OperationBasedEncoding,
                          Problem, RandomKeysFlowShopEncoding,
                          RandomKeysJobShopEncoding)
-from ..extensions.energy import EnergyAwareObjective, EnergyMakespanVector
-from ..extensions.fuzzy import FuzzyFlowShopEncoding, FuzzyFlowShopInstance
-from ..extensions.stochastic import (StochasticJobShopEncoding,
-                                     StochasticJobShopInstance)
 from ..instances import get_instance, with_due_dates_twk, with_weights
 from ..scheduling.objectives import (Makespan, MaximumTardiness,
                                      TotalFlowTime, TotalWeightedCompletion,
@@ -212,6 +208,8 @@ def _lot_streaming(instance, sublots: int = 2):
     sample_instance="ta-fs-20x5-shaped")
 def _fuzzy_flowshop(instance, spread: float = 0.2, due_tau: float = 1.5,
                     fuzzy_seed: int = 1):
+    from ..extensions.fuzzy import (FuzzyFlowShopEncoding,
+                                    FuzzyFlowShopInstance)
     fuzzy = FuzzyFlowShopInstance.from_crisp(
         instance, spread=float(spread), due_tau=float(due_tau),
         seed=int(fuzzy_seed))
@@ -228,6 +226,8 @@ def _fuzzy_flowshop(instance, spread: float = 0.2, due_tau: float = 1.5,
 def _stochastic_jobshop(instance, spread: float = 0.25,
                         distribution: str = "uniform", n_scenarios: int = 16,
                         scenario_seed: int = 0):
+    from ..extensions.stochastic import (StochasticJobShopEncoding,
+                                         StochasticJobShopInstance)
     stochastic = StochasticJobShopInstance(
         instance, spread=float(spread), distribution=str(distribution),
         n_scenarios=int(n_scenarios), seed=int(scenario_seed))
@@ -287,8 +287,8 @@ def _total_flow_time():
 def _energy_capped_makespan(peak_cap=None, penalty: float = 10.0,
                             processing_watts: float = 10.0,
                             idle_watts: float = 2.0):
-    import numpy as np
-    cap = np.inf if peak_cap is None else float(peak_cap)
+    from ..extensions.energy import EnergyAwareObjective
+    cap = float("inf") if peak_cap is None else float(peak_cap)
     return EnergyAwareObjective(peak_cap=cap, penalty=float(penalty),
                                 processing_watts=float(processing_watts),
                                 idle_watts=float(idle_watts))
@@ -301,6 +301,7 @@ def _energy_capped_makespan(peak_cap=None, penalty: float = 10.0,
             "idle_watts": 2.0})
 def _energy_makespan(weights=(0.5, 0.5), processing_watts: float = 10.0,
                      idle_watts: float = 2.0):
+    from ..extensions.energy import EnergyMakespanVector
     try:
         w_energy, w_makespan = (float(w) for w in weights)
     except (TypeError, ValueError) as exc:

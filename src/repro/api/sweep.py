@@ -26,7 +26,6 @@ move JSON can move this workload.
 
 from __future__ import annotations
 
-from concurrent.futures import as_completed
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Mapping
 
@@ -179,6 +178,8 @@ class SolverService:
         Failures are streamed as ``ok=False`` results, never raised --
         one bad scenario must not abort the remaining ones.
         """
+        from concurrent.futures import as_completed
+
         from ..service.pool import WorkerPool, run_job
         payloads = [(i, spec.to_dict() if isinstance(spec, SolverSpec)
                      else dict(spec)) for i, spec in enumerate(specs)]

@@ -30,13 +30,13 @@ from .api import (ScenarioSweep, SolverService, SolverSpec, SpecError,
                   encoding_entry, engine_entry, first_doc_line,
                   objective_entry, solve)
 from .core.backend import BACKENDS
-from .experiments import EXPERIMENTS, run_all, run_experiment
 from .instances import available_instances
 
 __all__ = ["main"]
 
 
 def _cmd_list(_args) -> int:
+    from .experiments import EXPERIMENTS
     print("experiments:")
     for key in sorted(EXPERIMENTS):
         print(f"  {key}: {first_doc_line(EXPERIMENTS[key])}")
@@ -67,12 +67,14 @@ def _cmd_list(_args) -> int:
 
 
 def _cmd_run(args) -> int:
+    from .experiments import run_experiment
     result = run_experiment(args.experiment, scale=args.scale)
     print(result.summary())
     return 0 if result.passed else 1
 
 
 def _cmd_run_all(args) -> int:
+    from .experiments import run_all
     results = run_all(scale=args.scale, verbose=True)
     failed = [k for k, r in results.items() if not r.passed]
     print(f"\n{len(results) - len(failed)}/{len(results)} shape checks OK")

@@ -30,7 +30,6 @@ from __future__ import annotations
 import os
 import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
@@ -127,6 +126,7 @@ class ProcessPoolEvaluator:
 
     def __init__(self, problem: Problem, n_workers: int | None = None,
                  chunks_per_worker: int = 1):
+        from concurrent.futures import ProcessPoolExecutor
         if n_workers is None:
             n_workers = os.cpu_count() or 1
         if n_workers < 1:

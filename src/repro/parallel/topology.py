@@ -16,8 +16,10 @@ random epoch       Defersha & Chen [36] (fresh random routes per epoch)
 =================  ==========================================================
 
 A topology is a :class:`Topology` producing, for each island, the list of
-neighbour islands it sends emigrants to.  Graphs are built with networkx so
-regularity properties (degree, connectivity) are testable directly.
+neighbour islands it sends emigrants to.  Migration needs only those
+lists; :meth:`Topology.graph` exports them as a networkx DiGraph for
+analysis (degree, connectivity) and is the one place here that needs
+networkx (the ``graph`` extra).
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-import networkx as nx
 import numpy as np
+
+from ..scheduling.graph import import_networkx
 
 __all__ = [
     "Topology",
@@ -56,9 +59,9 @@ class Topology:
         raise NotImplementedError  # pragma: no cover
 
     def graph(self, epoch: int = 0,
-              rng: np.random.Generator | None = None) -> nx.DiGraph:
-        """The full directed graph at ``epoch`` (for analysis/tests)."""
-        g = nx.DiGraph()
+              rng: np.random.Generator | None = None):
+        """The full directed graph at ``epoch`` (networkx; for analysis)."""
+        g = import_networkx().DiGraph()
         g.add_nodes_from(range(self.n))
         for i in range(self.n):
             for j in self.neighbors_out(i, epoch, rng):

@@ -23,13 +23,27 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import networkx as nx
 import numpy as np
 
 from .instance import JobShopInstance
 from .schedule import Operation, Schedule
 
 __all__ = ["DisjunctiveGraph", "CyclicSelectionError"]
+
+
+def import_networkx():
+    """The networkx module, or an ImportError naming the ``graph`` extra.
+
+    Only the analysis exports (:meth:`DisjunctiveGraph.build`,
+    ``Topology.graph``) use networkx; the solvers run without it.
+    """
+    try:
+        import networkx
+    except ImportError as exc:
+        raise ImportError(
+            "this graph export needs networkx: pip install "
+            "'repro-pga-shop-scheduling[graph]'") from exc
+    return networkx
 
 
 class CyclicSelectionError(ValueError):
@@ -81,62 +95,100 @@ class DisjunctiveGraph:
 
     def selection_from_sequence(self, sequence: np.ndarray) -> list[list[int]]:
         """Machine orders induced by a permutation-with-repetition chromosome."""
-        seq = np.asarray(sequence, dtype=np.int64)
-        next_stage = np.zeros(self.n, dtype=np.int64)
+        machine_of = np.asarray(self.instance.routing).ravel().tolist()
+        next_stage = [0] * self.n
         orders: list[list[int]] = [[] for _ in range(self.instance.n_machines)]
-        for job in seq:
-            s = int(next_stage[job])
-            op = self.op_id(int(job), s)
-            orders[self.machine(op)].append(op)
+        for job in np.asarray(sequence, dtype=np.int64).tolist():
+            op = job * self.g + next_stage[job]
+            orders[machine_of[op]].append(op)
             next_stage[job] += 1
         return orders
 
-    def build(self, selection: Sequence[Sequence[int]] | None = None
-              ) -> nx.DiGraph:
-        """networkx DiGraph with conjunctive arcs + selected machine arcs.
+    def _arcs(self, selection: Sequence[Sequence[int]] | None = None
+              ) -> dict[int, dict[int, float]]:
+        """Successor lists ``{u: {v: weight}}``: conjunctive + selected arcs.
 
-        Edge weight = duration of the *tail* operation (longest-path
-        convention); source arcs carry the job release time.
+        Nodes come as source, sink, then operations, and each node's arcs
+        in insertion order (an arc given twice is kept once), so walks
+        break ties as they would on :meth:`build`'s DiGraph.  Arc weight =
+        duration of the *tail* operation (longest-path convention); source
+        arcs carry the job release time.
         """
-        dg = nx.DiGraph()
-        dg.add_nodes_from([self.SOURCE, self.SINK])
-        dg.add_nodes_from(range(self.n_ops))
+        duration = np.asarray(self.instance.processing,
+                              dtype=float).ravel().tolist()
+        release = np.asarray(self.instance.release, dtype=float).tolist()
+        succ: dict[int, dict[int, float]] = {self.SOURCE: {}, self.SINK: {}}
+        succ.update((op, {}) for op in range(self.n_ops))
         for u, v in self.conjunctive_edges():
-            w = (float(self.instance.release[self.job_stage(v)[0]])
-                 if u == self.SOURCE else self.duration(u))
-            dg.add_edge(u, v, weight=w)
+            succ[u][v] = (release[v // self.g] if u == self.SOURCE
+                          else duration[u])
         if selection is not None:
             for order in selection:
                 for a, b in zip(order, order[1:]):
-                    dg.add_edge(a, b, weight=self.duration(a))
+                    succ[a][b] = duration[a]
+        return succ
+
+    def build(self, selection: Sequence[Sequence[int]] | None = None):
+        """networkx DiGraph of the same arcs (``weight`` edge attribute).
+
+        For analysis only: evaluation never builds it.  Needs networkx
+        (the ``graph`` extra).
+        """
+        nx = import_networkx()
+        dg = nx.DiGraph()
+        succ = self._arcs(selection)
+        dg.add_nodes_from(succ)
+        dg.add_weighted_edges_from((u, v, w) for u, vs in succ.items()
+                                   for v, w in vs.items())
         return dg
 
     # -- evaluation (kernels 1 + 2 of Somani & Singh [16]) -----------------------
+    @staticmethod
+    def _kahn_order(succ: dict[int, dict[int, float]]) -> list[int]:
+        """Kahn's sort, generation by generation (``nx.topological_sort``'s
+        order); raises on cycles."""
+        indegree = dict.fromkeys(succ, 0)
+        for vs in succ.values():
+            for v in vs:
+                indegree[v] += 1
+        order = [u for u, d in indegree.items() if d == 0]
+        for u in order:  # FIFO: appended nodes are the next generation
+            for v in succ[u]:
+                indegree[v] -= 1
+                if indegree[v] == 0:
+                    order.append(v)
+        if len(order) < len(succ):
+            raise CyclicSelectionError("machine selection induces a cycle")
+        return order
+
     def topological_order(self, selection: Sequence[Sequence[int]]) -> list[int]:
         """Kernel 1: topological sort; raises on cyclic selections."""
-        dg = self.build(selection)
-        try:
-            return list(nx.topological_sort(dg))
-        except nx.NetworkXUnfeasible as exc:
-            raise CyclicSelectionError("machine selection induces a cycle") from exc
+        return self._kahn_order(self._arcs(selection))
+
+    def _longest_paths(self, selection: Sequence[Sequence[int]]
+                       ) -> tuple[dict[int, float], dict[int, int | None]]:
+        """Longest distance from source, and the predecessor achieving it."""
+        succ = self._arcs(selection)
+        dist = dict.fromkeys(succ, 0.0)
+        pred: dict[int, int | None] = dict.fromkeys(succ)
+        for u in self._kahn_order(succ):
+            du = dist[u]
+            for v, w in succ[u].items():
+                nd = du + w
+                if nd > dist[v]:
+                    dist[v] = nd
+                    pred[v] = u
+        return dist, pred
 
     def longest_path_start_times(self, selection: Sequence[Sequence[int]]
                                  ) -> tuple[np.ndarray, float]:
         """Kernel 2: start times = longest path from source; plus makespan.
 
-        A hand-rolled sweep over the topological order (not networkx's
-        generic DAG longest path) because this is the per-chromosome hot
-        path in experiment E02.
+        A hand-rolled sweep over the topological order (not a generic DAG
+        longest path) because this is the per-chromosome hot path in
+        experiment E02.
         """
-        order = self.topological_order(selection)
-        dg = self.build(selection)
-        dist = {node: 0.0 for node in dg.nodes}
-        for u in order:
-            du = dist[u]
-            for v, data in dg[u].items():
-                nd = du + data["weight"]
-                if nd > dist[v]:
-                    dist[v] = nd
+        dist, _ = self._longest_paths(selection)
         starts = np.array([dist[op] for op in range(self.n_ops)])
         return starts, float(dist[self.SINK])
 
@@ -163,17 +215,7 @@ class DisjunctiveGraph:
 
         Returns operation ids in path order, excluding source/sink.
         """
-        order = self.topological_order(selection)
-        dg = self.build(selection)
-        dist = {node: 0.0 for node in dg.nodes}
-        pred: dict[int, int | None] = {node: None for node in dg.nodes}
-        for u in order:
-            du = dist[u]
-            for v, data in dg[u].items():
-                nd = du + data["weight"]
-                if nd > dist[v]:
-                    dist[v] = nd
-                    pred[v] = u
+        _, pred = self._longest_paths(selection)
         path: list[int] = []
         node = pred[self.SINK]
         while node is not None and node != self.SOURCE:

@@ -300,13 +300,11 @@ class TestCLIList:
     def test_list_survives_missing_docstrings(self, capsys, monkeypatch):
         """Satellite: registry enumeration must not crash on components
         without docstrings -- it prints an em-dash placeholder."""
-        from repro import cli
+        from repro.experiments import EXPERIMENTS
 
         def undocumented(scale):
             return None
-        patched = dict(cli.EXPERIMENTS)
-        patched["E99"] = undocumented
-        monkeypatch.setattr(cli, "EXPERIMENTS", patched)
+        monkeypatch.setitem(EXPERIMENTS, "E99", undocumented)
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "E99: —" in out

@@ -1,6 +1,5 @@
 """Tests for island topologies and migration policies."""
 
-import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,6 +31,7 @@ def test_topology_valid_neighbors(name, n):
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_topology_strongly_connected(name):
     """Every island's genes can eventually reach every other island."""
+    nx = pytest.importorskip("networkx")
     topo = topology_by_name(name, 8)
     g = topo.graph(epoch=0)
     # random epoch topology re-rolls per epoch; union a few epochs

@@ -1,11 +1,13 @@
 """Tests for flexible-shop decoders and the disjunctive graph."""
 
+import sys
+
 import numpy as np
 import pytest
 
 from repro.instances import (flexible_flow_shop, flexible_job_shop, job_shop)
 from repro.scheduling import (CyclicSelectionError, DisjunctiveGraph,
-                              LotStreamingPlan, decode_fjsp,
+                              JobShopInstance, LotStreamingPlan, decode_fjsp,
                               decode_hybrid_flowshop, decode_lot_streaming,
                               decode_operation_sequence, fjsp_random_genome,
                               operation_sequence_makespan)
@@ -171,40 +173,26 @@ class TestDisjunctiveGraph:
         rng.shuffle(seq)
         dg.schedule_of_sequence(seq).audit(inst)
 
-    def test_cycle_detection(self):
-        inst = self._instance()
+    def test_cycle_detection(self, monkeypatch):
+        """A selection against the job order is cyclic -- found by the
+        list-based sort, which needs no networkx."""
+        monkeypatch.setitem(sys.modules, "networkx", None)
+        # job 0 visits machines 0 then 1, job 1 visits 1 then 0
+        inst = JobShopInstance(name="crossed",
+                               routing=np.array([[0, 1], [1, 0]]),
+                               processing=np.ones((2, 2)))
         dg = DisjunctiveGraph(inst)
-        # force a cyclic selection: machine order contradicting job order
-        j0_first = dg.op_id(0, 0)
-        j0_second = dg.op_id(0, 1)
-        m_first = dg.machine(j0_first)
-        m_second = dg.machine(j0_second)
-        selection = [[] for _ in range(inst.n_machines)]
-        # put stage-1 op before stage-0 op on a shared resource chain:
-        # (0,1) -> (1,...) -> ... -> (0,0) cannot close a cycle alone, so
-        # directly order (0,1) before (0,0)'s machine predecessor via two
-        # machines: simplest guaranteed cycle is (a before b) on one machine
-        # and (b before a) through the job chain.
-        selection[m_second] = [j0_second]
-        selection[m_first] = [dg.op_id(1, 0), j0_first]
-        # add arc j0_first -> op(1,0) on another machine to close the loop
-        other = dg.op_id(1, 1)
-        selection[dg.machine(other)] = [other]
-        # build a definite cycle instead: a -> b on machine, b -> a via job
-        two = DisjunctiveGraph(inst)
-        sel = [[] for _ in range(inst.n_machines)]
-        a, b = dg.op_id(0, 0), dg.op_id(0, 1)
-        if dg.machine(a) == dg.machine(b):
-            sel[dg.machine(a)] = [b, a]
-            with pytest.raises(CyclicSelectionError):
-                two.topological_order(sel)
-        else:
-            # machines differ: emulate with an explicit reversed pair via
-            # networkx check on a hand-made selection known to be cyclic
-            sel[dg.machine(b)] = [b]
-            sel[dg.machine(a)] = [a]
-            order = two.topological_order(sel)
-            assert len(order) == inst.n_jobs * inst.n_stages + 2
+        # (0,0) -> (0,1) -> (1,0) -> (1,1) -> (0,0)
+        cyclic = [[dg.op_id(1, 1), dg.op_id(0, 0)],
+                  [dg.op_id(0, 1), dg.op_id(1, 0)]]
+        with pytest.raises(CyclicSelectionError):
+            dg.topological_order(cyclic)
+        with pytest.raises(CyclicSelectionError):
+            dg.critical_path(cyclic)
+        feasible = [[dg.op_id(0, 0), dg.op_id(1, 1)],
+                    [dg.op_id(1, 0), dg.op_id(0, 1)]]
+        assert len(dg.topological_order(feasible)) == dg.n_ops + 2
+        assert dg.longest_path_start_times(feasible)[1] == 2.0
 
     def test_critical_path_nonempty_and_connected(self, rng):
         inst = self._instance()
