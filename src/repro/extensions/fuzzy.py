@@ -36,12 +36,14 @@ grid, no NumPy-2-only ``trapezoid`` dependency).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from ..core.backend import active_namespace as _xp
+from ..scheduling.flowshop import _permutations, _recurrence, _scatter_exits
 from ..scheduling.instance import FlowShopInstance
 from ..encodings.base import GenomeKind
 
@@ -284,34 +286,18 @@ def fuzzy_completion_population(instance: FuzzyFlowShopInstance,
     """``(pop, n_jobs, 3)`` TFN completion tensor of ``P`` permutations.
 
     The flow-shop recurrence of
-    :meth:`FuzzyFlowShopInstance.completion_times` with the per-position
-    scan in Python and the component-wise TFN add/max vectorised over the
-    population axis; row ``p`` is bit-identical to the scalar recurrence
-    on ``permutations[p]``.
+    :meth:`FuzzyFlowShopInstance.completion_times` on the anti-diagonal
+    kernel of :mod:`repro.scheduling.flowshop`, the TFN triple riding
+    along as a trailing axis (add and max are component-wise).  The first
+    machine's floor is ``-inf``, which ``max`` passes through exactly, so
+    row ``p`` is bit-identical to the scalar recurrence on
+    ``permutations[p]``.
     """
     xp = _xp()
-    perms = xp.asarray(permutations, dtype=xp.int64)
-    if perms.ndim != 2:
-        raise ValueError("permutations must be (P, n)")
-    pop, n = perms.shape
-    if n != instance.n_jobs:
-        raise ValueError(
-            f"permutations must have n_jobs = {instance.n_jobs} columns")
-    m = instance.n_machines
-    proc = xp.asarray(instance.processing_tensor)
-    rows = xp.arange(pop, dtype=xp.int64)
-    prev = xp.zeros((pop, m, 3))
-    completion = xp.zeros((pop, n, 3))
-    for i in range(n):
-        jobs = perms[:, i]
-        p_i = proc[jobs]                        # (P, m, 3)
-        t = prev[:, 0] + p_i[:, 0]
-        prev[:, 0] = t
-        for k in range(1, m):
-            t = xp.maximum(t, prev[:, k]) + p_i[:, k]
-            prev[:, k] = t
-        completion[rows, jobs] = t
-    return completion
+    perms = _permutations(instance, permutations, xp)
+    exits = _recurrence(xp, xp.asarray(instance.processing_tensor),
+                        xp.full((instance.n_jobs, 3), -math.inf), perms)
+    return _scatter_exits(xp, perms, exits)
 
 
 def fuzzy_agreement_population(instance: FuzzyFlowShopInstance,

@@ -459,8 +459,7 @@ def batch_completion_fjsp(instance: FlexibleJobShopInstance,
 def _hfs_tables(instance: FlexibleFlowShopInstance):
     """Dense per-stage gather tables for a hybrid flow shop.
 
-    Returns ``(stage_base, dur_tables, setup_tables)``: ``stage_base`` is
-    the global machine-id offset per stage; ``dur_tables[s]`` is the
+    Returns ``(dur_tables, setup_tables)``: ``dur_tables[s]`` is the
     ``(n_jobs, k_s)`` float64 duration table of stage ``s`` built through
     :meth:`~repro.scheduling.instance.FlexibleFlowShopInstance.duration`
     (so uniform speeds / unrelated machines reproduce the scalar decoder's
@@ -473,8 +472,6 @@ def _hfs_tables(instance: FlexibleFlowShopInstance):
     if cached is not None:
         return cached
     n, n_stages = instance.n_jobs, instance.n_stages
-    stage_base = np.concatenate(
-        [[0], np.cumsum(instance.machines_per_stage)]).astype(np.int64)
     dur_tables = []
     for s in range(n_stages):
         k = instance.machines_per_stage[s]
@@ -488,7 +485,7 @@ def _hfs_tables(instance: FlexibleFlowShopInstance):
         setup_tables = [np.ascontiguousarray(
             np.asarray(instance.setup[s], dtype=float)).ravel()
             for s in range(n_stages)]
-    tables = (stage_base, dur_tables, setup_tables)
+    tables = (dur_tables, setup_tables)
     instance._hfs_batch_tables = tables
     return tables
 
@@ -507,15 +504,21 @@ def batch_completion_hybrid_flowshop(instance: FlexibleFlowShopInstance,
     schedule's completion times this reproduces bit-identically per row,
     including per-stage FIFO re-ordering and sequence-dependent setups.
 
-    The decode scans stage by stage, position by position: position ``i``
-    of every individual's current order is handled in one vectorised step.
-    On the earliest-finish path the candidate finish times of all ``k``
-    stage machines form a ``(pop, k)`` panel (identical float64 op order
-    to the scalar loop: ``max(job_ready, mach_ready + setup) + dur``) and
-    ``argmin`` along the machine axis picks the first minimum -- exactly
-    the scalar ``end < best`` lowest-index tie-break.  The between-stage
-    FIFO hand-off is a batched stable argsort of the realised finish
-    times, matching the scalar ``np.argsort(finish[order], kind="stable")``.
+    The decode scans stage by stage.  A stage's machines serve no other
+    stage, so each stage starts from idle machine state, and everything a
+    job brings to it is gathered once, in the stage's processing order:
+    ready times, job ids, pinned machine slots and durations (or, for
+    earliest finish, the ``(k, n, pop)`` duration panel) and setup
+    offsets.  The per-position step then reads and writes only machine
+    state, every individual at once.  On the earliest-finish path the
+    candidate finish times of all ``k`` stage machines form a ``(k, pop)``
+    panel (identical float64 op order to the scalar loop:
+    ``max(job_ready, mach_ready + setup) + dur``) and ``argmin`` along the
+    machine axis picks the first minimum -- exactly
+    the scalar ``end < best`` lowest-index tie-break.  A job's finish on
+    one stage is its ready time on the next, and the FIFO hand-off is a
+    batched stable argsort of those finish times, matching the scalar
+    ``np.argsort(finish[order], kind="stable")``.
     """
     xp = _xp()
     P = xp.asarray(permutations, dtype=xp.int64)
@@ -523,7 +526,6 @@ def batch_completion_hybrid_flowshop(instance: FlexibleFlowShopInstance,
         P = P[None, :]
     pop, length = P.shape
     n, n_stages = instance.n_jobs, instance.n_stages
-    m = instance.n_machines
     if pop == 0:
         return xp.zeros((0, n))
     if length != n:
@@ -544,55 +546,73 @@ def batch_completion_hybrid_flowshop(instance: FlexibleFlowShopInstance,
             raise ValueError(
                 f"assignments must be (pop, n_jobs, n_stages) = "
                 f"({pop}, {n}, {n_stages}), got {A.shape}")
-    stage_base, dur_tables, setup_tables = _hfs_tables(instance)
+    dur_tables, setup_tables = _hfs_tables(instance)
 
+    # position-major: row i holds every individual's i-th job of the stage
+    jobs = xp.moveaxis(P, 0, 1)                                 # (n, pop)
+    ready = xp.reshape(xp.take(xp.asarray(instance.release),
+                               xp.reshape(jobs, (n * pop,))), (n, pop))
     rows = xp.arange(pop, dtype=xp.int64)
-    job_ready = xp.tile(xp.asarray(instance.release), pop).reshape(pop, n)
-    mach_ready = xp.zeros((pop, m))
-    if setup_tables is not None:
-        last_job = xp.full((pop, m), -1, dtype=xp.int64)
-    finish = xp.empty((pop, n))
-    order = P
     for s in range(n_stages):
         k = instance.machines_per_stage[s]
-        base = int(stage_base[s])
-        durs = xp.asarray(dur_tables[s])                    # (n, k)
-        setup_s = (None if setup_tables is None
-                   else xp.asarray(setup_tables[s]))
-        for i in range(n):
-            jobs_i = order[:, i]                            # (pop,)
-            jr = job_ready[rows, jobs_i]
-            if A is not None:
-                # pinned machine: one gather per step, no panel
-                q = A[rows, jobs_i, s] % k
-                mach = base + q
-                mr = mach_ready[rows, mach]
-                if setup_s is not None:
-                    mr = mr + setup_s[(last_job[rows, mach] + 1) * n
-                                      + jobs_i]
-                end = xp.maximum(jr, mr) + durs[jobs_i, q]
-            else:
-                # earliest finish over the stage's machine block; argmin's
-                # first-minimum IS the scalar lowest-index tie-break
-                mr_k = mach_ready[:, base:base + k]         # (pop, k)
-                if setup_s is not None:
-                    mr_k = mr_k + setup_s[
-                        (last_job[:, base:base + k] + 1) * n
-                        + jobs_i[:, None]]
-                end_k = xp.maximum(jr[:, None], mr_k) + durs[jobs_i]
-                q = xp.argmin(end_k, axis=1)
-                mach = base + q
-                end = end_k[rows, q]
-            job_ready[rows, jobs_i] = end
-            mach_ready[rows, mach] = end
-            if setup_s is not None:
-                last_job[rows, mach] = jobs_i
-            finish[rows, jobs_i] = end
-        # next stage processes jobs in completion order of this stage
-        fin = xp.take_along_axis(finish, order, axis=1)
-        order = xp.take_along_axis(order, xp.stable_argsort(fin, axis=1),
-                                   axis=1)
-    return job_ready
+        durs = xp.asarray(dur_tables[s])                        # (n, k)
+        if setup_tables is not None:
+            setup_s = xp.asarray(setup_tables[s])
+            # a machine's setup row offset: (last job + 1) * n, 0 from idle
+            after = (jobs + 1) * n
+        if A is not None:
+            # pinned machine: its state slot and duration, per position
+            q = xp.take_along_axis(xp.moveaxis(A[:, :, s], 0, 1),
+                                   jobs, axis=0) % k
+            dur = xp.reshape(xp.take(xp.reshape(durs, (n * k,)),
+                                     xp.reshape(jobs * k + q, (n * pop,))),
+                             (n, pop))
+            slot = rows * k + q                                 # (n, pop)
+            mach = xp.zeros(pop * k)
+            ends = xp.empty((n, pop))
+            if setup_tables is not None:
+                last = xp.zeros(pop * k, dtype=xp.int64)
+            for i in range(n):
+                mr = mach[slot[i]]
+                if setup_tables is not None:
+                    mr = mr + xp.take(setup_s, last[slot[i]] + jobs[i])
+                    last[slot[i]] = after[i]
+                end = xp.maximum(ready[i], mr) + dur[i]
+                mach[slot[i]] = end
+                ends[i] = end
+        else:
+            # earliest finish over the stage's machines; argmin's
+            # first-minimum IS the scalar lowest-index tie-break
+            panel = xp.reshape(xp.take(xp.moveaxis(durs, 0, 1),
+                                       xp.reshape(jobs, (n * pop,)), axis=1),
+                               (k, n, pop))
+            machines = xp.reshape(xp.arange(k, dtype=xp.int64), (k, 1))
+            mach = xp.zeros((k, pop))
+            candidates = xp.empty((n, k, pop))
+            if setup_tables is not None:
+                last = xp.zeros((k, pop), dtype=xp.int64)
+            for i in range(n):
+                mr = mach
+                if setup_tables is not None:
+                    mr = mr + xp.reshape(xp.take(
+                        setup_s, xp.reshape(last + jobs[i], (k * pop,))),
+                        (k, pop))
+                end_k = xp.maximum(ready[i], mr) + panel[:, i]
+                chosen = machines == xp.argmin(end_k, axis=0, keepdims=True)
+                mach = xp.where(chosen, end_k, mach)
+                if setup_tables is not None:
+                    last = xp.where(chosen, after[i], last)
+                candidates[i] = end_k
+            ends = xp.min(candidates, axis=1)
+        # a job's finish here is its ready time on the next stage, which
+        # takes the jobs in completion order of this one
+        fifo = xp.stable_argsort(ends, axis=0)
+        jobs = xp.take_along_axis(jobs, fifo, axis=0)
+        ready = xp.take_along_axis(ends, fifo, axis=0)
+    completion = xp.zeros((pop, n))
+    xp.put_along_axis(completion, xp.moveaxis(jobs, 0, 1),
+                      xp.moveaxis(ready, 0, 1), axis=1)
+    return completion
 
 
 # ---------------------------------------------------------------------------

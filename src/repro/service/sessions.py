@@ -19,13 +19,17 @@ state, so two events for one session must never interleave).
 from __future__ import annotations
 
 import time
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 from ..api.registry import SpecError
 from ..core.ga import GAConfig
-from ..extensions.dynamic import (Event, JobArrival, MachineBreakdown,
-                                  PredictiveReactiveScheduler)
 from ..instances import get_instance
+
+if TYPE_CHECKING:
+    from ..extensions.dynamic import Event
+
+# The scheduler and its events load with the first session or event, so
+# ``import repro.service`` pulls in none of the scenario extensions.
 
 __all__ = ["DynamicSession", "SessionStore", "event_from_dict"]
 
@@ -39,6 +43,7 @@ def event_from_dict(data: Mapping[str, Any]) -> Event:
     ``{"type": "breakdown", "time": t, "machine": m, "duration": d}``.
     Shape errors raise :class:`SpecError` (the server's 400 path).
     """
+    from ..extensions.dynamic import JobArrival, MachineBreakdown
     if not isinstance(data, Mapping):
         raise SpecError(f"event must be a JSON object, got "
                         f"{type(data).__name__}")
@@ -64,6 +69,7 @@ class DynamicSession:
     """One live predictive-reactive scheduler behind the session API."""
 
     def __init__(self, session_id: str, params: Mapping[str, Any]):
+        from ..extensions.dynamic import PredictiveReactiveScheduler
         known = {"instance", "population", "generations", "seed",
                  "warm_start", "substrate"}
         unknown = sorted(set(params) - known)

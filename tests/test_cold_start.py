@@ -55,6 +55,19 @@ def test_cold_solve_loads_no_optional_subsystem():
     assert not any(leaked.values()), leaked
 
 
+def test_service_import_loads_no_scenario_extension():
+    """``import repro.service`` defers the dynamic scheduler to a session."""
+    probe = ("import json, sys\nimport repro.service\n"
+             "print(json.dumps(sorted(sys.modules)))")
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 0, proc.stderr
+    modules = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert "repro.service.sessions" in modules
+    assert _loaded(modules, "repro.extensions") == []
+
+
 def _spec(**fields):
     base = dict(instance="ft06", ga={"population_size": 8},
                 termination={"max_generations": 2}, seed=3)

@@ -12,6 +12,7 @@ Three suites:
   orders, heuristic engines + GA seeding end-to-end).
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -31,12 +32,21 @@ from repro.scheduling.flowshop import flowshop_makespan
 from repro.scheduling.instance import FlexibleFlowShopInstance, FlowShopInstance
 
 
-def _random_hfs(seed, *, setups, unrelated):
+def _random_hfs(seed, *, setups, unrelated, one_machine_stage=False):
+    """A small random HFS with real-valued, nonzero job release dates.
+
+    ``one_machine_stage`` inserts a single-machine stage at a random
+    position.  The instance class has no machine release dates: every
+    stage starts idle at time 0.
+    """
     gen = np.random.default_rng(seed)
     n_jobs = int(gen.integers(2, 8))
-    stages = tuple(int(k) for k in gen.integers(1, 4, size=gen.integers(1, 4)))
-    return flexible_flow_shop(n_jobs, stages, seed=seed % 997 + 1,
+    stages = [int(k) for k in gen.integers(1, 4, size=gen.integers(1, 4))]
+    if one_machine_stage:
+        stages.insert(int(gen.integers(0, len(stages) + 1)), 1)
+    inst = flexible_flow_shop(n_jobs, tuple(stages), seed=seed % 997 + 1,
                               lo=1, hi=9, setups=setups, unrelated=unrelated)
+    return dataclasses.replace(inst, release=gen.random(n_jobs) * 13.7 + 0.1)
 
 
 def _scalar_completions(instance, perm, assignment):
@@ -47,12 +57,15 @@ def _scalar_completions(instance, perm, assignment):
 class TestBatchScalarBitEquality:
     """The decoder pair must agree to the last bit, not a tolerance."""
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31 - 2),
-           st.booleans(), st.booleans(), st.booleans())
+           st.booleans(), st.booleans(), st.booleans(), st.booleans())
     def test_batch_matches_scalar_randomised(self, seed, setups, unrelated,
-                                             use_assignment):
-        inst = _random_hfs(seed, setups=setups, unrelated=unrelated)
+                                             use_assignment,
+                                             one_machine_stage):
+        inst = _random_hfs(seed, setups=setups, unrelated=unrelated,
+                           one_machine_stage=one_machine_stage)
+        assert np.all(inst.release > 0)
         gen = np.random.default_rng(seed + 1)
         pop = int(gen.integers(1, 9))
         perms = np.stack([gen.permutation(inst.n_jobs) for _ in range(pop)])

@@ -2,19 +2,24 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.extensions.fuzzy import (TFN, FuzzyFlowShopInstance,
+                                    fuzzy_completion_population)
 from repro.instances import FT06_OPTIMUM, flow_shop, get_instance, job_shop, open_shop
 from repro.scheduling import (DISPATCH_RULES, FeasibilityError, Schedule,
                               decode_blocking, decode_job_repetition_lpt_machine,
                               decode_job_repetition_lpt_task,
                               decode_operation_sequence, decode_pair_sequence,
-                              flowshop_completion, flowshop_makespan,
+                              FlowShopInstance, flowshop_completion,
+                              flowshop_completion_population,
+                              flowshop_makespan,
                               flowshop_makespan_population, flowshop_schedule,
                               giffler_thompson, neh_heuristic,
                               operation_sequence_makespan,
                               priority_rule_schedule)
+from repro.scheduling.flowshop import flowshop_completion_tensor
 
 
 def random_op_sequence(instance, rng):
@@ -54,7 +59,7 @@ class TestFlowShop:
         perms = np.stack([rng.permutation(6) for _ in range(40)])
         batch = flowshop_makespan_population(small_flowshop, perms)
         scalar = [flowshop_makespan(small_flowshop, p) for p in perms]
-        assert np.allclose(batch, scalar)
+        np.testing.assert_array_equal(batch, scalar)
 
     def test_batch_rejects_bad_shape(self, small_flowshop):
         with pytest.raises(ValueError):
@@ -82,6 +87,52 @@ class TestFlowShop:
         rng = np.random.default_rng(seed_offset)
         perm = rng.permutation(5)
         assert flowshop_makespan(inst, perm) >= inst.makespan_lower_bound() - 1e-9
+
+
+class TestFlowShopKernel:
+    """The four population entry points of the anti-diagonal kernel agree
+    bit for bit with the row-by-row scalar recurrences, on real-valued
+    durations and release dates, for every shape from one job or one
+    machine to an empty population."""
+
+    @given(n=st.integers(1, 7), m=st.integers(1, 7), pop=st.integers(0, 4),
+           seed=st.integers(0, 2**31 - 1))
+    @example(n=1, m=1, pop=1, seed=0)
+    @example(n=1, m=5, pop=3, seed=1)
+    @example(n=6, m=1, pop=3, seed=2)
+    @example(n=2, m=6, pop=2, seed=3)
+    @example(n=7, m=3, pop=0, seed=4)
+    @settings(max_examples=60, deadline=None)
+    def test_entry_points_match_scalar_bit_for_bit(self, n, m, pop, seed):
+        rng = np.random.default_rng(seed)
+        inst = FlowShopInstance(processing=rng.random((n, m)) * 97.3,
+                                release=rng.random(n) * 41.7)
+        perms = np.array([rng.permutation(n) for _ in range(pop)],
+                         dtype=np.int64).reshape(pop, n)
+        scalar = [flowshop_completion(inst, perm) for perm in perms]
+        makespan = flowshop_makespan_population(inst, perms)
+        completion = flowshop_completion_population(inst, perms)
+        tensor = flowshop_completion_tensor(inst, perms)
+        assert makespan.shape == (pop,)
+        assert completion.shape == (pop, n)
+        assert tensor.shape == (pop, n, m)
+        for row, (perm, c) in enumerate(zip(perms, scalar)):
+            assert makespan[row] == c[-1, -1]
+            np.testing.assert_array_equal(completion[row, perm], c[:, -1])
+            np.testing.assert_array_equal(tensor[row], c)
+
+        lo = rng.random((n, m)) * 50.1
+        mid = lo + rng.random((n, m)) * 10.3
+        hi = mid + rng.random((n, m)) * 10.7
+        fuzzy = FuzzyFlowShopInstance(
+            [[TFN(lo[j, k], mid[j, k], hi[j, k]) for k in range(m)]
+             for j in range(n)], [TFN(0.0, 1.0, 2.0)] * n)
+        tfn = fuzzy_completion_population(fuzzy, perms)
+        assert tfn.shape == (pop, n, 3)
+        for row, perm in enumerate(perms):
+            expected = [[t.a, t.b, t.c]
+                        for t in fuzzy.completion_times(perm)]
+            np.testing.assert_array_equal(tfn[row], expected)
 
 
 class TestJobShopSemiActive:

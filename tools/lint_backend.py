@@ -41,8 +41,9 @@ BASELINES = {
     # 60 -> 71: batch_completion_hybrid_flowshop -- signature hints,
     # docstring references and the validate-path error reporting; the
     # decode itself runs entirely on the active namespace (the
-    # instrumented-backend conformance sweep pins instrumented == numpy)
-    "src/repro/scheduling/batch.py": 71,
+    # instrumented-backend conformance sweep pins instrumented == numpy).
+    # 71 -> 68: the HFS tables no longer build a stage-offset array
+    "src/repro/scheduling/batch.py": 68,
     "src/repro/scheduling/flowshop.py": 23,
     # 31 -> 12: signatures annotate through the module's Array /
     # Generator aliases
