@@ -336,8 +336,7 @@ class SimpleGA:
         return objectives
 
     def _notify(self) -> None:
-        best = self.population.best()
-        self.state.record_best(float(best.objective))
+        self.state.record_best(self.population.best_objective())
         for obs in self.observers:
             obs.observe(self.state.generation, self.population,
                         self.state.evaluations, self.state.elapsed())

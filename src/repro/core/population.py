@@ -142,6 +142,10 @@ class Population:
         self._require_evaluated()
         return min(self._members, key=lambda i: i.objective)
 
+    def best_objective(self) -> float:
+        """The smallest objective (``best().objective`` as a float)."""
+        return float(self.best().objective)
+
     def worst(self) -> Individual:
         """Individual with the largest objective."""
         self._require_evaluated()

@@ -316,6 +316,9 @@ class ArrayPopulationView(Population):
         return Individual.from_row(self._problem, self._state.matrix[i],
                                    self._state.objectives[i])
 
+    def best_objective(self) -> float:
+        return float(self._state.objectives.min())
+
     def worst(self) -> Individual:
         i = int(np.argmax(self._state.objectives))
         return Individual.from_row(self._problem, self._state.matrix[i],

@@ -41,8 +41,14 @@ draws (mate pair + the two rate gates) come from one raw block that
 reproduces the per-cell call order of :meth:`CellularGA._breed_cell`
 exactly, so grid generations equal the per-cell loop at the rate
 extremes under a shared seed.  Inputs that do not stack, and the
-asynchronous line sweep, keep a ``list[list[Individual]]`` grid and
-breed cell by cell.
+asynchronous line sweep, keep a flat row-major
+:class:`~repro.core.population.Population` of cells (cell ``(r, c)`` is
+member ``r*cols + c``) and breed cell by cell.
+
+Both paths expose what the island engine reads from a
+:class:`~repro.core.ga.SimpleGA` -- ``population``, ``arrays``, ``step``
+and ``uses_batch_path`` -- so a ring of cellular islands
+(:class:`~repro.parallel.hybrid.IslandOfCellularGA`) is an island GA.
 """
 
 from __future__ import annotations
@@ -178,8 +184,10 @@ class CellularGA:
         self.history = HistoryRecorder()
         self.observers: list[Observer] = [self.history, *observers]
         self.state = TerminationState()
-        self.grid: list[list[Individual]] | None = None
-        self.grid_state: GridState | None = None
+        #: the per-cell path's population, row-major
+        self.cells: Population | None = None
+        #: the grid path's population
+        self.arrays: GridState | None = None
         self._view: ArrayPopulationView | None = None
         self._neighbor_table: np.ndarray | None = None
         self._batch_evaluate = problem.batch_evaluator()
@@ -188,16 +196,21 @@ class CellularGA:
     @property
     def initialized(self) -> bool:
         """Whether a population exists on either substrate."""
-        return self.grid is not None or self.grid_state is not None
+        return self.cells is not None or self.arrays is not None
 
     @property
     def population(self) -> Population:
-        """Flat view of the grid (row-major)."""
-        if self.grid_state is not None:
+        """The grid as a live row-major population."""
+        if self.arrays is not None:
             return self._view
-        if self.grid is None:
+        if self.cells is None:
             raise ValueError("not initialised")
-        return Population(ind for row in self.grid for ind in row)
+        return self.cells
+
+    @property
+    def uses_batch_path(self) -> bool:
+        """Whether evaluation is vectorised (matrix decode), not per genome."""
+        return self._batch_evaluate is not None
 
     def neighbors(self, r: int, c: int) -> list[tuple[int, int]]:
         """Toroidal neighbour coordinates of cell (r, c)."""
@@ -229,21 +242,22 @@ class CellularGA:
         if self.substrate == "array":
             n = self.rows * self.cols
             matrix = random_matrix(self.problem, n, self.rng)
-            self.grid_state = GridState.from_matrix(
+            self.arrays = GridState.from_matrix(
                 matrix, self._evaluate_matrix(matrix), self.rows, self.cols)
-            self._view = ArrayPopulationView(self.problem, self.grid_state)
+            self._view = ArrayPopulationView(self.problem, self.arrays)
             self._neighbor_table = grid_neighbor_table(
                 self.rows, self.cols, self.offsets)
             self._notify()
             return
-        self.grid = [[Individual(self.problem.random_genome(self.rng))
-                      for _ in range(self.cols)] for _ in range(self.rows)]
-        self._evaluate([ind for row in self.grid for ind in row])
+        self.cells = Population(
+            Individual(self.problem.random_genome(self.rng))
+            for _ in range(self.rows * self.cols))
+        self._evaluate(self.cells.members)
         self._notify()
 
     def _notify(self) -> None:
         pop = self.population
-        self.state.record_best(float(pop.best().objective))
+        self.state.record_best(pop.best_objective())
         for obs in self.observers:
             obs.observe(self.state.generation, pop, self.state.evaluations,
                         self.state.elapsed())
@@ -251,14 +265,14 @@ class CellularGA:
     def _local_mate(self, r: int, c: int) -> Individual:
         """Pick a mate from (r, c)'s neighbourhood by local tournament."""
         coords = self.neighbors(r, c)
-        pool = [self.grid[rr][cc] for rr, cc in coords]
+        pool = [self.cells[rr * self.cols + cc] for rr, cc in coords]
         i, j = self.rng.integers(0, len(pool), size=2)
         a, b = pool[int(i)], pool[int(j)]
         return a if a.objective <= b.objective else b
 
     def _breed_cell(self, r: int, c: int) -> Individual:
         cfg = self.config
-        centre = self.grid[r][c]
+        centre = self.cells[r * self.cols + c]
         mate = self._local_mate(r, c)
         if self.rng.random() < cfg.crossover_rate:
             ga, _gb = cfg.crossover(centre.genome, mate.genome, self.rng)
@@ -269,10 +283,10 @@ class CellularGA:
             child = Individual(cfg.mutation(child.genome, self.rng))
         return child
 
-    def _replace_cell(self, r: int, c: int, child: Individual) -> None:
+    def _replace_cell(self, i: int, child: Individual) -> None:
         if (self.replacement == "always"
-                or child.objective < self.grid[r][c].objective):
-            self.grid[r][c] = child
+                or child.objective < self.cells[i].objective):
+            self.cells[i] = child
 
     def _step_grid(self) -> None:
         """One synchronous generation as tensor kernels (lines 4-7 batched).
@@ -290,7 +304,7 @@ class CellularGA:
         lock-step (visit-order independence) by construction.
         """
         cfg = self.config
-        state = self.grid_state
+        state = self.arrays
         matrix, objectives = state.matrix, state.objectives
         table = self._neighbor_table
         n, n_nbr = table.shape
@@ -333,15 +347,14 @@ class CellularGA:
             flat = [self._breed_cell(r, c) for r in range(self.rows)
                     for c in range(self.cols)]
             self._evaluate(flat)
-            for r in range(self.rows):
-                for c in range(self.cols):
-                    self._replace_cell(r, c, flat[r * self.cols + c])
+            for i, child in enumerate(flat):
+                self._replace_cell(i, child)
         else:  # asynchronous fixed line sweep: updates visible immediately
             for r in range(self.rows):
                 for c in range(self.cols):
                     child = self._breed_cell(r, c)
                     self._evaluate([child])
-                    self._replace_cell(r, c, child)
+                    self._replace_cell(r * self.cols + c, child)
         self._notify()
 
     def run(self) -> GAResult:

@@ -17,6 +17,12 @@
 Every island is a full :class:`~repro.core.ga.SimpleGA` over its own
 subpopulation; a :class:`~repro.parallel.topology.Topology` plus a
 :class:`~repro.parallel.migration.MigrationPolicy` drive the exchange.
+One loop, :meth:`IslandGA._exchange`, runs every exchange on both
+substrates.  The hybrids of :mod:`repro.parallel.hybrid` are subclasses:
+:class:`~repro.parallel.hybrid.IslandOfCellularGA` swaps the island for
+a cellular grid (``_new_island``), and
+:class:`~repro.parallel.hybrid.TwoLevelIslandGA` adds a broadcast
+exchange over a fully connected topology.
 
 Features mapped to surveyed papers:
 
@@ -98,7 +104,13 @@ def default_island_population(total_population: int, n_islands: int) -> int:
 
 @dataclass
 class IslandGAResult:
-    """Outcome of an island GA run."""
+    """Outcome of an island GA run.
+
+    ``extra`` holds ``batch_path``, ``substrate`` and ``tensor_mode`` for
+    every island engine; the hybrid adds ``model`` and the two-level GA
+    ``model``, ``GN`` and ``LN``.  Global-history records carry the
+    active island count as ``extra["n_islands"]``.
+    """
 
     best: Individual
     histories: list[HistoryRecorder]
@@ -221,10 +233,7 @@ class IslandGA:
         rngs = spawn_rngs(seed, n_islands + 1)
         self._migration_rng = rngs[-1]
         self.islands: list[SimpleGA] = [
-            SimpleGA(problem, cfg, termination=MaxGenerations(0),
-                     seed=rngs[i])
-            for i, cfg in enumerate(configs)
-        ]
+            self._new_island(cfg, rngs[i]) for i, cfg in enumerate(configs)]
         # one path for every island: arrays only when all inputs stack
         if merge_on_stagnation is None and all(
                 isl.substrate == "array" for isl in self.islands):
@@ -237,6 +246,12 @@ class IslandGA:
         self.state = TerminationState()
         self.global_history = HistoryRecorder()
         self._active = list(range(n_islands))
+
+    def _new_island(self, config: GAConfig,
+                    rng: np.random.Generator) -> SimpleGA:
+        """One island engine; subclasses override it to change the island."""
+        return SimpleGA(self.problem, config, termination=MaxGenerations(0),
+                        seed=rng)
 
     # -- lifecycle ---------------------------------------------------------------
     def initialize(self) -> None:
@@ -283,9 +298,9 @@ class IslandGA:
     def _sync_state(self) -> None:
         self.state.evaluations = sum(isl.state.evaluations
                                      for isl in self.islands)
-        best = min(isl.population.best().objective for isl in self.islands
-                   if isl.population is not None)
-        self.state.record_best(float(best))
+        self.state.record_best(min(isl.population.best_objective()
+                                   for isl in self.islands
+                                   if isl.population is not None))
 
     def _record_global(self) -> None:
         if self.substrate == "array":
@@ -338,70 +353,59 @@ class IslandGA:
 
     def migrate(self, epoch: int) -> int:
         """One migration event; returns the number of migrants moved."""
-        if not self.cooperation or self.migration.rate == 0:
+        if (not self.cooperation or self.migration.rate == 0
+                or len(self._active) < 2):
             return 0
-        active = self._active
-        if len(active) < 2:
-            return 0
-        if self.substrate == "array":
-            return self._migrate_arrays(epoch)
-        # map active slot -> position so shrunken (merged) systems reuse the
-        # topology over the remaining islands
-        pos_of = {isl: k for k, isl in enumerate(active)}
-        outbox: dict[int, list[Individual]] = {i: [] for i in active}
-        moved = 0
-        for i in active:
-            emigrants_targets = self.topology.neighbors_out(
-                pos_of[i], epoch, self._migration_rng)
-            for tgt_pos in emigrants_targets:
-                tgt = active[tgt_pos % len(active)]
-                if tgt == i:
-                    continue
-                emigrants = select_emigrants(self.islands[i].population,
-                                             self.migration,
-                                             self._migration_rng)
-                outbox[tgt].extend(emigrants)
-                moved += len(emigrants)
-        for tgt, immigrants in outbox.items():
-            integrate_immigrants(self.islands[tgt].population, immigrants,
-                                 self.migration, self._migration_rng)
-        return moved
+        return self._exchange(self.topology, self.migration, epoch)
 
-    def _migrate_arrays(self, epoch: int) -> int:
-        """Array-substrate migration: emigrant rows gathered per edge,
-        then scattered over each target's replacement slots.
+    def _exchange(self, topology: Topology, policy: MigrationPolicy,
+                  epoch: int) -> int:
+        """Send emigrants along ``topology`` under ``policy``; returns
+        the number of migrants moved.
 
-        In the serial engine the island states are slices of one
-        ``(n_islands, pop, n_genes)`` tensor, so the whole exchange is
-        slice assignment on two arrays -- no per-individual work.  Same
-        policy semantics (and the same migration-RNG call pattern) as the
-        per-pair path.
+        Every emigrant is chosen and copied before any island takes
+        immigrants, so a bidirectional exchange never ships a fresh
+        arrival.  Topology positions index the active islands, so a
+        shrunken (merged) system reuses the topology over the islands
+        left.  On the array substrate emigrants are row copies and each
+        target takes its arrivals as one row scatter (in the serial
+        engine, slice assignment on the island tensor); otherwise they
+        are ``Individual`` copies.  Both make the same migration-RNG
+        calls.
         """
+        arrays = self.substrate == "array"
+        rng = self._migration_rng
         active = self._active
         pos_of = {isl: k for k, isl in enumerate(active)}
-        outbox: dict[int, list[tuple[np.ndarray, np.ndarray]]] = \
-            {i: [] for i in active}
+        outbox: dict[int, list] = {i: [] for i in active}
         moved = 0
         for i in active:
-            targets = self.topology.neighbors_out(
-                pos_of[i], epoch, self._migration_rng)
-            for tgt_pos in targets:
+            for tgt_pos in topology.neighbors_out(pos_of[i], epoch, rng):
                 tgt = active[tgt_pos % len(active)]
                 if tgt == i:
                     continue
-                rows, objs = select_emigrant_rows(
-                    self.islands[i].arrays, self.migration,
-                    self._migration_rng)
-                outbox[tgt].append((rows, objs))
-                moved += rows.shape[0]
-        for tgt, shipments in outbox.items():
-            if not shipments:
+                if arrays:
+                    rows, objs = select_emigrant_rows(self.islands[i].arrays,
+                                                      policy, rng)
+                    outbox[tgt].append((rows, objs))
+                    moved += rows.shape[0]
+                else:
+                    emigrants = select_emigrants(self.islands[i].population,
+                                                 policy, rng)
+                    outbox[tgt].extend(emigrants)
+                    moved += len(emigrants)
+        for tgt, inbox in outbox.items():
+            if not inbox:
                 continue
-            xp = _xp()
-            rows = xp.concatenate([r for r, _ in shipments])
-            objs = xp.concatenate([o for _, o in shipments])
-            integrate_immigrant_rows(self.islands[tgt].arrays, rows, objs,
-                                     self.migration, self._migration_rng)
+            if arrays:
+                xp = _xp()
+                integrate_immigrant_rows(
+                    self.islands[tgt].arrays,
+                    xp.concatenate([rows for rows, _ in inbox]),
+                    xp.concatenate([objs for _, objs in inbox]), policy, rng)
+            else:
+                integrate_immigrants(self.islands[tgt].population, inbox,
+                                     policy, rng)
         return moved
 
     def _maybe_merge(self) -> None:
@@ -442,9 +446,8 @@ class IslandGA:
             self._maybe_merge()
             self._sync_state()
             self._record_global()
-        best_island = min(
-            (self.islands[i] for i in self._active),
-            key=lambda isl: isl.population.best().objective)
+        best_island = min((self.islands[i] for i in self._active),
+                          key=lambda isl: isl.population.best_objective())
         return IslandGAResult(
             best=best_island.population.best().copy(),
             histories=[isl.history for isl in self.islands],

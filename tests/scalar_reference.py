@@ -322,7 +322,7 @@ def make_offspring(ga, population, count):
 def breed_cell(cga, r, c):
     """``CellularGA._breed_cell`` with transcribed operators."""
     cfg = cga.config
-    centre = cga.grid[r][c]
+    centre = cga.population[r * cga.cols + c]
     mate = cga._local_mate(r, c)
     if cga.rng.random() < cfg.crossover_rate:
         a, _b = reference(cfg.crossover)(centre.genome, mate.genome, cga.rng)

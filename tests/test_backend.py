@@ -283,7 +283,7 @@ class TestBitIdentity:
             with use_backend(name):
                 ga.initialize()
                 ga._step_grid()
-            grids[name] = ga.grid_state
+            grids[name] = ga.arrays
         np.testing.assert_array_equal(grids["numpy"].matrix,
                                       grids["instrumented"].matrix)
         np.testing.assert_array_equal(grids["numpy"].objectives,

@@ -138,7 +138,7 @@ class TestGridClosure:
                         termination=MaxGenerations(4), seed=6)
         ga.run()
         base = np.arange(9)
-        for row in ga.grid_state.matrix:
+        for row in ga.arrays.matrix:
             assert np.array_equal(np.sort(row), base)
 
     @pytest.mark.parametrize("crossover",
@@ -154,7 +154,7 @@ class TestGridClosure:
                         termination=MaxGenerations(4), seed=2)
         ga.run()
         base = np.sort(np.repeat(np.arange(4), 3))
-        for row in ga.grid_state.matrix:
+        for row in ga.arrays.matrix:
             assert np.array_equal(np.sort(row), base)
 
 
@@ -180,15 +180,15 @@ def run_cell_pair(problem, seed=11, gens=4, rows=3, cols=4,
 
 def object_grid_arrays(ga):
     """Row-major (matrix, objectives) of an object-substrate grid."""
-    flat = [ind for row in ga.grid for ind in row]
+    flat = ga.cells
     return (np.stack([np.asarray(ind.genome) for ind in flat]),
             np.array([ind.objective for ind in flat]))
 
 
 def assert_grids_equal(obj_ga, arr_ga):
     matrix, objectives = object_grid_arrays(obj_ga)
-    assert np.array_equal(arr_ga.grid_state.matrix, matrix)
-    assert np.array_equal(arr_ga.grid_state.objectives, objectives)
+    assert np.array_equal(arr_ga.arrays.matrix, matrix)
+    assert np.array_equal(arr_ga.arrays.objectives, objectives)
     assert obj_ga.state.evaluations == arr_ga.state.evaluations
 
 
@@ -248,8 +248,8 @@ class TestRateExtremeEquivalence:
             if substrate == "object":
                 matrix, objs = object_grid_arrays(ga)
             else:
-                assert np.array_equal(ga.grid_state.matrix, matrix)
-                assert np.array_equal(ga.grid_state.objectives, objs)
+                assert np.array_equal(ga.arrays.matrix, matrix)
+                assert np.array_equal(ga.arrays.objectives, objs)
 
 
 # -- per-cell draws as one raw block ---------------------------------------------
@@ -383,7 +383,7 @@ class TestQualityAndEngines:
         assert result.extra["tensor_mode"] is True
         assert ga._tensor.shape == (3, 9, 36)
         for isl in ga.islands:
-            assert isl.grid_state.matrix.base is ga._tensor
+            assert isl.arrays.matrix.base is ga._tensor
         assert result.best_objective <= 70
 
     def test_hybrid_solve_reproducible(self):

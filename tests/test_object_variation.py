@@ -484,7 +484,7 @@ def test_stackable_input_runs_the_array_path_on_either_substrate():
     ga.run()
     cga.run()
     assert ga.substrate == cga.substrate == "array"
-    assert ga.arrays is not None and cga.grid_state is not None
+    assert ga.arrays is not None and cga.arrays is not None
 
 
 GA_SPECS = {

@@ -1,14 +1,19 @@
 """Tests for the master-slave, island, cellular and hybrid engines."""
 
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from scalar_reference import per_pair
 from repro.core import GAConfig, MaxGenerations, SimpleGA
 from repro.encodings import OperationBasedEncoding, Problem
 from repro.instances import get_instance
+from repro.operators import LinearOrderCrossover
 from repro.parallel import (CellularGA, IslandGA, IslandOfCellularGA,
                             MasterSlaveGA, MigrationPolicy, NEIGHBORHOODS,
-                            RingTopology, TwoLevelIslandGA,
+                            RingTopology, StarTopology, TwoLevelIslandGA,
                             island_with_torus_topology, neighborhood_offsets)
 
 
@@ -144,6 +149,19 @@ class TestIslandGA:
         # threshold 40 > genome length 36, so every island stagnates
         assert res.n_islands_final < 4
 
+    def test_exchange_never_sends_an_island_to_itself(self, problem):
+        # a star over 4 islands, 2 left after merging: the hub's routes to
+        # positions 1, 2, 3 wrap to islands 1, 0, 1; the one to itself is
+        # skipped, so 3 routes (2 from the hub, 1 back) carry 2 migrants
+        ga = IslandGA(problem, n_islands=4,
+                      config=GAConfig(population_size=6),
+                      topology=StarTopology(4),
+                      migration=MigrationPolicy(interval=1, rate=2),
+                      merge_on_stagnation=40, seed=5)
+        ga.initialize()
+        ga._active = [0, 1]
+        assert ga.migrate(1) == 2 * 3
+
     def test_process_parallel_matches_serial(self, problem):
         kw = dict(n_islands=2, config=GAConfig(population_size=6),
                   migration=MigrationPolicy(interval=2, rate=1),
@@ -207,6 +225,76 @@ class TestCellularGA:
             CellularGA(problem, replacement="sometimes")
 
 
+def island_family(engine, problem, seed, config):
+    """A small hybrid, two-level or island GA on ring migration with
+    random emigrants and random replacement (the hybrid forces worst)."""
+    common = dict(migration=MigrationPolicy(interval=2, rate=2,
+                                            emigrant="random",
+                                            replacement="random"),
+                  termination=MaxGenerations(12), seed=seed)
+    if engine == "hybrid":
+        return IslandOfCellularGA(problem, n_islands=3, rows=3, cols=3,
+                                  config=config, **common)
+    config = replace(config, population_size=8)
+    if engine == "two-level":
+        return TwoLevelIslandGA(problem, n_islands=3, config=config,
+                                broadcast_interval=6, **common)
+    return IslandGA(problem, n_islands=3, config=config, **common)
+
+
+def islands_digest(islands, problem):
+    """sha256 of every island's final rows and objectives, in order."""
+    digest = hashlib.sha256()
+    for isl in islands:
+        matrix, objectives = isl.population.to_arrays(problem)
+        digest.update(np.ascontiguousarray(matrix, dtype=np.int64).tobytes())
+        digest.update(np.ascontiguousarray(objectives,
+                                           dtype=np.float64).tobytes())
+    return digest.hexdigest()
+
+
+#: (engine, path, seed, best, evaluations, islands_digest), captured
+#: before the hybrid and two-level GAs became IslandGA subclasses
+PINNED_RUNS = [
+    ("hybrid", "array", 1, 59.0, 351,
+     "7259bd8c0bbc32bd28c74bb59868014258d4bbd93e96ecf57f5486c3ee6e2169"),
+    ("hybrid", "array", 2, 59.0, 351,
+     "f895f103426f2bf4c745e4b4390f9e30b97ed9a1bee0f35140a90fc8bf5edf2a"),
+    ("hybrid", "per_pair", 1, 59.0, 351,
+     "fcb4b33661f58cd52a4abd4829f4abc8681e44dbcb3353f16a8388f171946f8f"),
+    ("hybrid", "per_pair", 2, 60.0, 351,
+     "ca0237b361127ef8b778439e835d84d1edec730a18c54c15f9000ef5a923ae12"),
+    ("hybrid", "lox", 1, 59.0, 351,
+     "2651fb0966585a7e42c451aaaa3419170c157dab146db18a3f0f983b2fe5f201"),
+    ("hybrid", "lox", 2, 60.0, 351,
+     "9554283bb7814e840862341a666aa3c45585916a22d62f8447f181749b7b05e2"),
+    ("two-level", "array", 1, 59.0, 312,
+     "7467e172f13d525d074c0c71fd3da81885ce51a8baada8963a6129aef3fde066"),
+    ("two-level", "array", 2, 59.0, 312,
+     "2d4479db90430885d7a3b348fcbb4543eb138349d33b926d5eea46bb229cdcee"),
+    ("two-level", "per_pair", 1, 60.0, 312,
+     "b3d3398088bdf34db130ea635215e15adfcf15a84e67f45e2527d1d5a5e88bff"),
+    ("two-level", "per_pair", 2, 60.0, 312,
+     "16d9b857d4d3053527d8101eed2a48a564f53e2d16f11dbbe68dd2c4436231f0"),
+    ("two-level", "lox", 1, 67.0, 312,
+     "4217dc66e523423bdabd432640c16bf80ac4459358e4e521791995403da62aa1"),
+    ("two-level", "lox", 2, 60.0, 312,
+     "5573f61aeaa92655565e5177019f6a15d25f8cb31b008df2ca3ce39ed925a04e"),
+    ("island", "array", 1, 59.0, 312,
+     "cc3a2ab3e3965ca2020998592b3fdfb647d9af0b5a874be41ba1985e20c20eef"),
+    ("island", "array", 2, 59.0, 312,
+     "c37c7b199a5ca5e07d898a7f29225678a823854a50d4bf722a7668cb811ce7f8"),
+    ("island", "per_pair", 1, 60.0, 312,
+     "4a4ad0d664c5012853ea7a06198b3812fb2084a2494bf4c62c5560b844632ddf"),
+    ("island", "per_pair", 2, 60.0, 312,
+     "d1eef4347d39e4d99114a3cefd65bdecda914dc4c981f2299c2b39d747c2dd6f"),
+    ("island", "lox", 1, 68.0, 312,
+     "7376d6f6e831d1d55ee13d7408968727c9af779de09cfcea742767d6b462400d"),
+    ("island", "lox", 2, 60.0, 312,
+     "a91cee3fceb4317e0e749f7cf862e2de34752e22f8262a3434956b3f38d46f83"),
+]
+
+
 class TestHybrids:
     def test_island_of_cellular_runs(self, problem):
         res = IslandOfCellularGA(problem, n_islands=2, rows=3, cols=3,
@@ -248,11 +336,27 @@ class TestHybrids:
                               migration=MigrationPolicy(interval=2, rate=0),
                               broadcast_interval=4,
                               termination=MaxGenerations(4), seed=6)
-        inner = ga.inner
-        inner.initialize()
-        inner._advance_serial(4)
-        ga._broadcast()
+        ga.initialize()
+        ga._advance_serial(4)
+        assert ga._broadcast() == 6
         global_best = min(isl.population.best().objective
-                          for isl in inner.islands)
-        for isl in inner.islands:
+                          for isl in ga.islands)
+        for isl in ga.islands:
             assert isl.population.best().objective == global_best
+
+    @pytest.mark.parametrize("engine,path,seed,best,evaluations,digest",
+                             PINNED_RUNS)
+    def test_island_family_results_pinned(self, problem, engine, path, seed,
+                                          best, evaluations, digest):
+        """Exact results of the three island engines on both paths."""
+        if path == "per_pair":
+            with per_pair():
+                ga = island_family(engine, problem, seed, GAConfig())
+        else:
+            ga = island_family(engine, problem, seed, GAConfig(
+                crossover=LinearOrderCrossover() if path == "lox" else None))
+        assert ga.substrate == ("array" if path == "array" else "object")
+        res = ga.run()
+        assert res.best_objective == best
+        assert res.evaluations == evaluations
+        assert islands_digest(ga.islands, problem) == digest
