@@ -33,9 +33,9 @@ wraps engine runs in.
 ``bincount``, no scatter-add and no ``put_along_axis``; the kernels
 therefore call a small set of explicit helpers (``stable_argsort``,
 ``put_along_axis``, ``scatter_add``, ``bincount``,
-``maximum_accumulate``, ``partition``, ``argpartition``, ``copy``)
-instead of the NumPy-only spellings -- the instrumented backend enforces
-it.
+``maximum_accumulate``, ``partition``, ``argpartition``, ``copy``,
+``take_into``) instead of the NumPy-only spellings -- the instrumented
+backend enforces it.
 """
 
 from __future__ import annotations
@@ -106,12 +106,13 @@ ARRAY_API_NAMES = frozenset({
 
 #: Explicit portable helpers (no Array-API spelling exists): kernels must
 #: call these instead of the NumPy-only ``kind="stable"`` / ``np.add.at``
-#: / ``np.maximum.accumulate`` spellings.  ``bincount``,
+#: / ``np.maximum.accumulate`` spellings, and ``take_into`` gathers
+#: into a reused buffer (:mod:`repro.core.workspace`).  ``bincount``,
 #: ``put_along_axis``, ``partition``, ``argpartition`` and ``copy`` are
 #: the NumPy functions themselves, allowed by name.
 EXTENSION_NAMES = frozenset({
     "stable_argsort", "put_along_axis", "scatter_add", "bincount",
-    "maximum_accumulate", "partition", "argpartition", "copy",
+    "maximum_accumulate", "partition", "argpartition", "copy", "take_into",
 })
 
 #: NumPy spellings the kernels may keep: the Array-API renames
@@ -155,6 +156,16 @@ class NumpyNamespace:
     def maximum_accumulate(x):
         """Running maximum along the last axis (NumPy ``maximum.accumulate``)."""
         return np.maximum.accumulate(x)
+
+    @staticmethod
+    def take_into(x, indices, out, axis=None):
+        """``take(x, indices, axis)`` written into ``out``, which it returns.
+
+        ``indices`` must be in range: NumPy's raise mode would gather
+        into a temporary copy of ``out`` first, so this clips instead and
+        the caller checks its indices once, up front.
+        """
+        return np.take(x, indices, axis=axis, out=out, mode="clip")
 
     def __getattr__(self, name: str):
         if name.startswith("_"):
@@ -231,6 +242,14 @@ class NamespaceAdapter:
         if fn is not None:
             return fn(x)
         return self._wrapped.asarray(x, copy=True)  # Array-API spelling
+
+    def take_into(self, x, indices, out, axis=None):
+        xp = self._wrapped
+        if axis is None:
+            x, axis = xp.reshape(x, (-1,)), 0
+        taken = xp.take(x, xp.reshape(indices, (-1,)), axis=axis)
+        out[...] = xp.reshape(taken, out.shape)
+        return out
 
     def concatenate(self, arrays, axis=0):
         fn = getattr(self._wrapped, "concatenate", None)

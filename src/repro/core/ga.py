@@ -23,8 +23,8 @@ The engine exposes both ``run()`` (full loop) and ``step()`` (one
 generation), the latter reused verbatim by the island model where every
 island is a SimpleGA.  On the array substrate a generation also comes in
 two halves, :meth:`SimpleGA.breed` (the draws) and
-:meth:`SimpleGA.absorb` (the merged result), which :func:`lockstep` uses
-to run the generation of many islands as one.
+:meth:`SimpleGA.adopt_arrays` (the merged result), which :func:`lockstep`
+uses to run the generation of many islands as one.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from .substrate import (SUBSTRATES, ArrayPopulationView, ArrayState, Brood,
                         make_offspring_matrix, random_matrix, takes_arrays,
                         vary_broods)
 from .termination import MaxGenerations, Termination, TerminationState
+from .workspace import scratch
 
 __all__ = ["GAConfig", "GAResult", "SimpleGA", "Evaluator", "lockstep"]
 
@@ -395,11 +396,15 @@ class SimpleGA:
         return Brood(self.arrays, self.config, self.problem, self.rng,
                      self.brood_sizes[0])
 
-    def absorb(self, matrix: np.ndarray, objectives: np.ndarray) -> None:
-        """Second half of an array generation: adopt the merged next
-        generation and notify the observers."""
-        self.adopt_arrays(matrix, objectives)
-        self._notify()
+    def _merge_buffers(self, populations: int = 1) -> tuple:
+        """Scratch for ``populations`` merged generations of this engine's
+        shape; :meth:`adopt_arrays` copies them out before any observer
+        runs."""
+        xp = _xp()
+        size, genes = self.config.population_size, self.arrays.matrix.shape[1]
+        return (scratch("merge.rows", (populations, size, genes),
+                        self.arrays.matrix.dtype),
+                scratch("merge.objectives", (populations, size), xp.float64))
 
     def step(self) -> Population:
         """One generation (lines 3-7 of Table II)."""
@@ -412,9 +417,11 @@ class SimpleGA:
             offspring = make_offspring_matrix(self.arrays, cfg,
                                               self.problem, self.rng, n_bred)
             objectives = self._evaluate_matrix(offspring)
-            self.absorb(*elitist_merge_arrays(
+            rows, objs = self._merge_buffers()
+            self.adopt_arrays(*elitist_merge_arrays(
                 self.arrays, offspring, objectives, n_keep,
-                cfg.population_size))
+                cfg.population_size, out=(rows[0], objs[0])))
+            self._notify()
             return self.population
         offspring = self.make_offspring(self.population, n_bred)
         self._evaluate(offspring)
@@ -441,7 +448,8 @@ class SimpleGA:
         )
 
 
-def lockstep(engines: Sequence[SimpleGA]) -> None:
+def lockstep(engines: Sequence[SimpleGA],
+             stacked: tuple[np.ndarray, np.ndarray] | None = None) -> None:
     """One array-substrate generation of several engines, run as one.
 
     Bit-identical to calling ``step()`` on each engine in turn: every
@@ -452,13 +460,23 @@ def lockstep(engines: Sequence[SimpleGA]) -> None:
     populations (:func:`~repro.core.substrate.elitist_merge_rows`, once
     per distinct population and brood size).  The engines must share one
     problem and evaluator -- the islands of one island GA.  Engines must
-    be initialised.
+    be initialised.  ``stacked`` is the ``(matrix, objectives)`` tensor
+    pair whose slices the engines' arrays are, in order, when they are
+    bound into one (the island tensor); a merge over all of them then
+    reads it instead of stacking the slices again.
     """
     xp = _xp()
     broods = [ga.breed() for ga in engines]
     offspring = vary_broods(broods)
-    objectives = engines[0]._score_matrix(
-        offspring[0] if len(offspring) == 1 else xp.concatenate(offspring))
+    if len(offspring) == 1:
+        matrix = offspring[0]
+    else:
+        matrix = xp.concatenate(offspring, out=scratch(
+            "lockstep.offspring",
+            (sum(rows.shape[0] for rows in offspring),
+             offspring[0].shape[1]),
+            xp.result_type(*offspring)))
+    objectives = engines[0]._score_matrix(matrix)
     groups: dict[tuple[int, int, int, int], list] = {}
     at = 0
     for ga, rows in zip(engines, offspring):
@@ -466,14 +484,29 @@ def lockstep(engines: Sequence[SimpleGA]) -> None:
         ga.state.evaluations += count
         key = (len(ga.arrays), ga.config.population_size, count,
                ga.brood_sizes[1])
-        groups.setdefault(key, []).append(
-            (ga, rows, objectives[at:at + count]))
+        groups.setdefault(key, []).append((ga, slice(at, at + count)))
         at += count
-    for (_, size, _, n_keep), members in groups.items():
-        matrix, objs = elitist_merge_rows(
-            xp.stack([ga.arrays.matrix for ga, _, _ in members]),
-            xp.stack([ga.arrays.objectives for ga, _, _ in members]),
-            xp.stack([rows for _, rows, _ in members]),
-            xp.stack([o for _, _, o in members]), n_keep, size)
-        for j, (ga, _, _) in enumerate(members):
-            ga.absorb(matrix[j], objs[j])
+    for (_, size, count, n_keep), members in groups.items():
+        k = len(members)
+        if stacked is not None and k == len(engines):
+            # every engine, in order: the tensor and the offspring matrix
+            # already hold the stacks
+            parents, parent_objectives = stacked
+            children = xp.reshape(matrix, (k, count, -1))
+            child_objectives = xp.reshape(objectives, (k, count))
+        else:
+            parents = xp.stack([ga.arrays.matrix for ga, _ in members])
+            parent_objectives = xp.stack([ga.arrays.objectives
+                                          for ga, _ in members])
+            children = xp.stack([matrix[rows] for _, rows in members])
+            child_objectives = xp.stack([objectives[rows]
+                                         for _, rows in members])
+        merged, objs = elitist_merge_rows(
+            parents, parent_objectives, children, child_objectives, n_keep,
+            size, out=members[0][0]._merge_buffers(k))
+        # adopt every island before any observer runs: the merge buffers
+        # are scratch, free again once copied out
+        for j, (ga, _) in enumerate(members):
+            ga.adopt_arrays(merged[j], objs[j])
+        for ga, _ in members:
+            ga._notify()

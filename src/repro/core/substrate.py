@@ -46,6 +46,7 @@ from .backend import active_namespace as _xp
 from .fitness import apply_fitness_array
 from .individual import Individual
 from .population import Population
+from .workspace import Workspace
 
 Array = np.ndarray
 Generator = np.random.Generator
@@ -185,14 +186,18 @@ class ArrayState:
     in-place mutation bumps :attr:`version` (call :meth:`touch` after
     writing into the arrays directly) so derived caches such as
     :class:`ArrayPopulationView`'s materialised members know to rebuild.
+    Its :attr:`workspace` holds the buffers a generation of this
+    population breeds into (:class:`Brood`), so they are allocated once
+    per run rather than once per generation.
     """
 
-    __slots__ = ("matrix", "objectives", "version")
+    __slots__ = ("matrix", "objectives", "version", "workspace")
 
     def __init__(self, matrix: Array, objectives: Array):
         self.matrix = np.asarray(matrix)
         self.objectives = np.asarray(objectives, dtype=float)
         self.version = 0
+        self.workspace = Workspace()
         if self.matrix.ndim != 2 or self.objectives.shape != \
                 (self.matrix.shape[0],):
             raise ValueError("need a (pop, n_genes) matrix and a matching "
@@ -212,9 +217,10 @@ class ArrayState:
             xp = _xp()
             xp.copyto(self.matrix, matrix)
             xp.copyto(self.objectives, objectives)
-        else:  # population size changed (not done by current engines)
-            self.matrix = np.asarray(matrix)
-            self.objectives = np.asarray(objectives, dtype=float)
+        else:  # population size changed (not done by current engines);
+            # copied, as ``matrix`` may be a caller's reused buffer
+            self.matrix = np.array(matrix)
+            self.objectives = np.array(objectives, dtype=float)
         self.touch()
 
     def copy(self) -> "ArrayState":
@@ -361,8 +367,10 @@ class Brood:
     its population alone makes.
 
     The selected parents are kept interleaved (``A`` rows even, ``B``
-    rows odd); crossover writes the children over them in place, so
-    their first ``n_bred`` rows become the bred offspring.
+    rows odd) in the state's brood buffer; crossover writes the children
+    over them in place, so their first ``n_bred`` rows become the bred
+    offspring.  One brood per state is in flight at a time: the next
+    brood of the same state breeds into the same buffer.
     """
 
     __slots__ = ("config", "problem", "rng", "n_bred", "n_immigrants",
@@ -385,9 +393,11 @@ class Brood:
             return
         fitness = apply_fitness_array(objectives, config.fitness_transform)
         select = batch_selection_for(config.selection)
-        parent_idx = select(fitness, objectives,
-                            self.n_bred + (self.n_bred % 2), rng)
-        self.parents = matrix[parent_idx]
+        rows = self.n_bred + (self.n_bred % 2)
+        parent_idx = select(fitness, objectives, rows, rng)
+        self.parents = xp.take_into(
+            matrix, parent_idx, axis=0, out=state.workspace.get(
+                "brood", (rows, matrix.shape[1]), matrix.dtype))
         self.gates = rng.random(self.parents.shape[0] // 2) \
             < config.crossover_rate
         if self.gates.any():
@@ -442,7 +452,9 @@ def vary_broods(broods: Sequence[Brood]) -> list[Array]:
     One crossover kernel call, then one mutation kernel call, per distinct
     operator object covers the gated rows of every brood; a row's result
     does not depend on the rows stacked next to it, so each brood's
-    offspring equal what varying it alone gives.
+    offspring equal what varying it alone gives.  Without immigrants the
+    offspring are rows of the brood's buffer, valid until its state
+    breeds again.
     """
     for group in _operator_groups(broods, "crossover"):
         twin = group[0].crossover[0]
@@ -480,7 +492,8 @@ def make_offspring_matrix(state: ArrayState, config: Any, problem: Any,
     The array twin of ``SimpleGA.make_offspring``: same stage order, same
     rate arithmetic, same number of gate draws -- only the per-pair
     operator applications are batched.  Returns the ``(count, n_genes)``
-    offspring matrix (unevaluated); a :class:`Brood` of one population.
+    offspring matrix (unevaluated); a :class:`Brood` of one population,
+    so the rows live in ``state``'s brood buffer until it breeds again.
     """
     return vary_broods([Brood(state, config, problem, rng, count)])[0]
 
@@ -488,16 +501,19 @@ def make_offspring_matrix(state: ArrayState, config: Any, problem: Any,
 def elitist_merge_rows(parents: Array, parent_objectives: Array,
                        offspring: Array,
                        offspring_objectives: Array, n_elites: int,
-                       size: int) -> tuple[Array, Array]:
+                       size: int, out: tuple[Array, Array] | None = None
+                       ) -> tuple[Array, Array]:
     """:func:`elitist_merge_arrays` over a stack of populations at once.
 
     ``parents`` is ``(k, pop, n_genes)`` with ``(k, pop)`` objectives,
     ``offspring`` ``(k, count, n_genes)`` with ``(k, count)``; returns the
-    ``(k, size, n_genes)`` next generations and their objectives.  Every
+    ``(k, size, n_genes)`` next generations and their objectives, written
+    into ``out`` when given (C-contiguous buffers of those shapes).  Every
     population is merged exactly as alone: the selections are row-wise
     stable top-k over the objective matrices.
     """
     xp = _xp()
+    k = parent_objectives.shape[0]
     n_elite = min(n_elites, parent_objectives.shape[1])
     n_fill = max(0, min(size - n_elite, offspring_objectives.shape[1]))
     short = size - n_elite - n_fill
@@ -508,22 +524,37 @@ def elitist_merge_rows(parents: Array, parent_objectives: Array,
     if short > 0:  # offspring shortage: pad with next-best parents
         picks.append((parents, parent_objectives,
                       order[:, n_elite:n_elite + short]))
-    stack = xp.arange(parent_objectives.shape[0], dtype=xp.int64)[:, None]
-    rows = [m[stack, idx] for m, _, idx in picks]
-    objs = [o[stack, idx] for _, o, idx in picks]
-    return xp.concatenate(rows, axis=1), xp.concatenate(objs, axis=1)
+    if out is None:
+        out = (xp.empty((k, size, parents.shape[2]),
+                        dtype=xp.result_type(parents, offspring)),
+               xp.empty((k, size), dtype=xp.result_type(
+                   parent_objectives, offspring_objectives)))
+    rows, objs = out
+    at = 0
+    for matrix, objectives, idx in picks:
+        width = idx.shape[1]
+        for j in range(k):
+            xp.take_into(matrix[j], idx[j], axis=0,
+                         out=rows[j, at:at + width])
+            xp.take_into(objectives[j], idx[j], out=objs[j, at:at + width])
+        at += width
+    return rows, objs
 
 
 def elitist_merge_arrays(state: ArrayState, offspring: Array,
                          offspring_objectives: Array, n_elites: int,
-                         size: int) -> tuple[Array, Array]:
+                         size: int, out: tuple[Array, Array] | None = None
+                         ) -> tuple[Array, Array]:
     """Array twin of ``Population.elitist_merge``.
 
     Next generation = ``n_elites`` best parents + best offspring fill
     (+ next-best parents when offspring run short), in the same
-    best-first, tie-stable order as the per-pair path.
+    best-first, tie-stable order as the per-pair path.  Returns the
+    ``(size, n_genes)`` rows and ``(size,)`` objectives, written into
+    ``out`` when given.
     """
+    stacked = None if out is None else (out[0][None], out[1][None])
     rows, objs = elitist_merge_rows(
         state.matrix[None], state.objectives[None], offspring[None],
-        offspring_objectives[None], n_elites, size)
+        offspring_objectives[None], n_elites, size, stacked)
     return rows[0], objs[0]

@@ -59,6 +59,7 @@ from typing import Any, Callable, NamedTuple, Sequence
 import numpy as np
 
 from ..core.backend import active_namespace as _xp
+from ..core.workspace import scratch
 from .crossover import (ArithmeticCrossover, CompositeCrossover, Crossover,
                         JobBasedCrossover, NPointCrossover, OrderCrossover,
                         ParameterizedUniformCrossover, PMXCrossover,
@@ -124,11 +125,11 @@ def row_bincount(X: np.ndarray, n_values: int,
     """
     xp = _xp()
     m, n = X.shape
-    keys = X + xp.arange(m, dtype=xp.int64)[:, None] * n_values
-    if mask is not None:
-        keys = keys[mask]
-    return xp.bincount(keys.ravel(),
-                       minlength=m * n_values).reshape(m, n_values)
+    keys = xp.add(X, xp.arange(m, dtype=xp.int64)[:, None] * n_values,
+                  out=scratch("bincount.keys", (m, n), xp.int64))
+    keys = keys[mask] if mask is not None else xp.reshape(keys, (-1,))
+    return xp.reshape(xp.bincount(keys, minlength=m * n_values),
+                      (m, n_values))
 
 
 def _value_range(A: np.ndarray, B: np.ndarray) -> int:
@@ -196,7 +197,7 @@ def ox_kernel(A: np.ndarray, B: np.ndarray, lo: np.ndarray,
     is taken while its occurrence count in the wrapped order is below
     what A's segment left missing; when every row of A is a permutation,
     all counts are zero, so the sort behind :func:`row_occurrence` is
-    skipped.
+    skipped.  The row-sized index tables are this thread's scratch.
     """
     xp = _xp()
     m, n = A.shape
@@ -204,21 +205,29 @@ def ox_kernel(A: np.ndarray, B: np.ndarray, lo: np.ndarray,
     rows = xp.arange(m, dtype=xp.int64)[:, None]
     pos = xp.arange(n, dtype=xp.int64)
     seg = (pos >= lo[:, None]) & (pos < hi[:, None])
-    counts = row_bincount(A, n_values)
-    used = row_bincount(A, n_values, mask=seg)
-    need = counts - used
+    need = row_bincount(A, n_values)
+    distinct = int(xp.max(need)) <= 1
+    need -= row_bincount(A, n_values, mask=seg)
     # rotated frame: slot t holds original position (hi + t) mod n, so
-    # slots 0 .. n-seg_len-1 enumerate hi..n-1, 0..lo-1 -- the OX fill order
-    rot_idx = (hi[:, None] + pos) % n
-    B_rot = xp.take_along_axis(B, rot_idx, axis=1)
-    if int(xp.max(counts)) <= 1:
-        take = need[rows, B_rot] > 0
+    # slots 0 .. n-seg_len-1 enumerate hi..n-1, 0..lo-1 -- the OX fill
+    # order; rot holds the flat index row * n + that position
+    rot = scratch("ox.rotation", (m, n), xp.int64)
+    xp.add(hi[:, None], pos, out=rot)
+    xp.remainder(rot, n, out=rot)
+    rot += rows * n
+    B_rot = xp.take_into(B, rot, out=scratch("ox.donor", (m, n), B.dtype))
+    lookup = scratch("ox.lookup", (m, n), xp.int64)
+    xp.add(B_rot, rows * n_values, out=lookup)
+    need_rot = xp.take_into(need, lookup,
+                            out=scratch("ox.need", (m, n), xp.int64))
+    if distinct:
+        take = need_rot > 0
     else:
-        take = row_occurrence(B_rot, n_values) < need[rows, B_rot]
+        take = row_occurrence(B_rot, n_values) < need_rot
     seg_len = hi - lo
     fill_slots = pos < (n - seg_len)[:, None]
-    child = A.copy()
-    child[xp.nonzero(fill_slots)[0], rot_idx[fill_slots]] = B_rot[take]
+    child = xp.copy(A)
+    xp.reshape(child, (-1,))[rot[fill_slots]] = B_rot[take]
     return child
 
 
@@ -254,13 +263,21 @@ def jox_kernel(A: np.ndarray, B: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """Row-wise JOX child: jobs with ``keep[row, job]`` hold A's positions,
     the rest are filled with B's occurrences in B order.
 
-    The whole of ``JobBasedCrossover``.
+    The whole of ``JobBasedCrossover``.  The keep lookups run through
+    this thread's scratch.
     """
     xp = _xp()
-    rows = xp.arange(A.shape[0], dtype=xp.int64)[:, None]
-    mask_a = keep[rows, A]
-    child = xp.where(mask_a, A, -1)
-    child[~mask_a] = B[~keep[rows, B]]
+    m, n = A.shape
+    offsets = xp.arange(m, dtype=xp.int64)[:, None] * keep.shape[1]
+    lookup = scratch("jox.lookup", (m, n), xp.int64)
+    kept_a = xp.take_into(keep, xp.add(A, offsets, out=lookup),
+                          out=scratch("jox.kept_a", (m, n), bool))
+    child = xp.where(kept_a, A, -1)
+    free_b = xp.take_into(keep, xp.add(B, offsets, out=lookup),
+                          out=scratch("jox.free_b", (m, n), bool))
+    xp.logical_not(kept_a, out=kept_a)
+    xp.logical_not(free_b, out=free_b)
+    child[kept_a] = B[free_b]
     return child
 
 

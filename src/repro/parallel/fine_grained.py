@@ -67,6 +67,7 @@ from ..core.substrate import (ArrayPopulationView, GridState,
                               check_array_support, random_matrix,
                               takes_arrays)
 from ..core.termination import MaxGenerations, Termination, TerminationState
+from ..core.workspace import scratch
 from ..encodings.base import Problem
 from ..operators.batch import batch_crossover_for, batch_mutation_for
 
@@ -317,15 +318,29 @@ class CellularGA:
         cand = xp.take_along_axis(table, mates, axis=1)
         a, b = cand[:, 0], cand[:, 1]
         mate_idx = xp.where(objectives[a] <= objectives[b], a, b)
-        children = xp.copy(matrix)
+        # the children and the gathered rows are this thread's scratch:
+        # the generation is over before the next one asks for them
+        shape = matrix.shape
+        children = scratch("cellular.children", shape, matrix.dtype)
+        children[...] = matrix
         if cross_gate.any():
             cross = batch_crossover_for(cfg.crossover)
-            child_a, _child_b = cross(matrix[cross_gate],
-                                      matrix[mate_idx[cross_gate]], rng)
-            children[cross_gate] = child_a
+            cells = xp.nonzero(cross_gate)[0]
+            rows = (cells.shape[0], shape[1])
+            # the first child replaces the centre; the pair is dropped
+            # at once, before the decode allocates
+            children[cross_gate] = cross(
+                xp.take_into(matrix, cells, axis=0, out=scratch(
+                    "cellular.centres", rows, matrix.dtype)),
+                xp.take_into(matrix, mate_idx[cells], axis=0, out=scratch(
+                    "cellular.mates", rows, matrix.dtype)), rng)[0]
         if mut_gate.any():
             mutate = batch_mutation_for(cfg.mutation)
-            children[mut_gate] = mutate(children[mut_gate], rng)
+            cells = xp.nonzero(mut_gate)[0]
+            children[mut_gate] = mutate(xp.take_into(
+                children, cells, axis=0, out=scratch(
+                    "cellular.mutants", (cells.shape[0], shape[1]),
+                    matrix.dtype)), rng)
         child_objectives = self._evaluate_matrix(children)
         if self.replacement == "always":
             accept = xp.ones(n, dtype=bool)

@@ -333,8 +333,11 @@ class IslandGA:
         """
         if self._tensor is not None:
             family = [self.islands[i] for i in self._active]
+            stacked = None
+            if len(family) == len(self.islands):
+                stacked = (self._tensor, self._tensor_objectives)
             for _ in range(gens):
-                lockstep(family)
+                lockstep(family, stacked)
             return
         for i in self._active:
             isl = self.islands[i]

@@ -54,6 +54,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.backend import active_namespace as _xp
+from ..core.workspace import scratch
 from .flowshop import (flowshop_completion_population,
                        flowshop_makespan_population)
 from .instance import (FlexibleFlowShopInstance, FlexibleJobShopInstance,
@@ -87,6 +88,12 @@ def operation_stages(instance: JobShopInstance,
     """
     xp = _xp()
     seqs = xp.asarray(sequences, dtype=xp.int64)
+    return _stages_into(instance, seqs, xp.empty_like(seqs), validate)
+
+
+def _stages_into(instance: JobShopInstance, seqs, out, validate: bool):
+    """:func:`operation_stages` of int64 ``seqs``, written into ``out``."""
+    xp = _xp()
     if seqs.ndim != 2:
         raise ValueError("sequences must be a (pop_size, n_genes) matrix")
     n, g = instance.n_jobs, instance.n_stages
@@ -96,7 +103,10 @@ def operation_stages(instance: JobShopInstance,
     # a stable sort's permutation depends only on the key order, and
     # NumPy radix-sorts keys of 16 bits or fewer, so narrow them when
     # every job index fits
-    keys = xp.asarray(seqs, dtype=xp.int16) if n < 2**15 else seqs
+    keys = seqs
+    if n < 2**15:
+        keys = scratch("stages.keys", seqs.shape, xp.int16)
+        keys[...] = seqs
     order = xp.stable_argsort(keys, axis=1)
     if validate:
         sorted_jobs = xp.take_along_axis(seqs, order, axis=1)
@@ -106,10 +116,107 @@ def operation_stages(instance: JobShopInstance,
             raise ValueError(
                 f"rows {np.flatnonzero(bad).tolist()} are not permutations "
                 "with repetition (each job exactly n_stages times)")
-    stages = xp.empty_like(seqs)
     within = (xp.arange(n * g, dtype=xp.int64) % g)[None, :]
-    xp.put_along_axis(stages, order, within, axis=1)
-    return stages
+    xp.put_along_axis(out, order, within, axis=1)
+    return out
+
+
+def _check_genes(genes, high: int) -> None:
+    """Raise ``IndexError`` unless every gene lies in ``[0, high)``.
+
+    The decoders below gather through ``xp.take_into``, which does not
+    check its indices, so the genes are checked once here.
+    """
+    xp = _xp()
+    if genes.size and (int(xp.min(genes)) < 0
+                       or int(xp.max(genes)) >= high):
+        raise IndexError(f"gene values must lie in [0, {high})")
+
+
+def _semi_active_scan(jobs, machines, ops, tables, release, n: int,
+                      m: int):
+    """Completion times of ``pop`` gene sequences under ``K`` duration tables.
+
+    The one job-shop scan behind the job-shop, CRN-scenario and open-shop
+    batch decoders.  ``jobs``, ``machines`` and ``ops`` are position-major
+    ``(L, pop)`` tables: the job, the machine and the flat index into a
+    duration table of every gene.  ``tables`` is ``(K, T)``, one flat
+    duration table per scenario.  Each (scenario, chromosome) pair is one
+    flattened row ``k * pop + p``; the result is the fresh
+    ``(K, pop, n)`` float64 completion tensor.
+
+    The decode recurrence is sequential along the gene axis but
+    independent across rows, so the scan runs as ``L`` vectorised steps of
+    gather / max / add / scatter over flattened ``(rows, jobs)`` and
+    ``(rows, machines)`` state.  Its ``(L, rows)`` index and duration
+    tables are this thread's scratch, built column-major so that each step
+    reads a contiguous row.
+    """
+    xp = _xp()
+    length, pop = jobs.shape
+    k, size = tables.shape
+    rows = k * pop
+    base = xp.arange(rows, dtype=xp.int64).reshape(1, k, pop)
+    job_idx = scratch("scan.jobs", (length, k, pop), xp.int64)
+    mach_idx = scratch("scan.machines", (length, k, pop), xp.int64)
+    dur_cols = scratch("scan.durations", (length, k, pop), xp.float64)
+    if k == 1:
+        xp.take_into(tables, ops, out=dur_cols.reshape(length, pop))
+    else:
+        # scenario k's duration of a gene sits at k * size + op; mach_idx
+        # holds those indices until the machine slots overwrite them
+        xp.add(ops[:, None, :],
+               (xp.arange(k, dtype=xp.int64) * size).reshape(1, k, 1),
+               out=mach_idx)
+        xp.take_into(tables, mach_idx, out=dur_cols)
+    xp.add(machines[:, None, :], base * m, out=mach_idx)
+    xp.add(jobs[:, None, :], base * n, out=job_idx)
+    job_idx = job_idx.reshape(length, rows)
+    mach_idx = mach_idx.reshape(length, rows)
+    dur_cols = dur_cols.reshape(length, rows)
+
+    job_ready = xp.tile(xp.asarray(release), rows)          # (rows * n,)
+    mach_ready = xp.zeros(rows * m)                         # (rows * m,)
+    for i in range(length):
+        ji = job_idx[i]
+        mi = mach_idx[i]
+        start = job_ready[ji]
+        xp.maximum(start, mach_ready[mi], out=start)
+        start += dur_cols[i]
+        job_ready[ji] = start
+        mach_ready[mi] = start
+    # every job's final ready time is the end of its last operation, and
+    # ends are non-decreasing along a job, so this is C_j
+    return job_ready.reshape(k, pop, n)
+
+
+def _genome_rows(sequences):
+    """``sequences`` as an int64 ``(pop, n_genes)`` matrix."""
+    xp = _xp()
+    seqs = xp.asarray(sequences, dtype=xp.int64)
+    return seqs[None, :] if seqs.ndim == 1 else seqs
+
+
+def _operation_sequence_scan(instance: JobShopInstance, seqs, tables,
+                             validate: bool):
+    """:func:`_semi_active_scan` of a non-empty int64 ``(pop, L)`` batch
+    of permutation-with-repetition genomes."""
+    xp = _xp()
+    pop, length = seqs.shape
+    stages = _stages_into(
+        instance, seqs, scratch("jobshop.stages", (pop, length), xp.int64),
+        validate)
+    _check_genes(seqs, instance.n_jobs)
+    # a gene's operation is (job, stage): flat index job * n_stages + stage
+    ops = scratch("jobshop.ops", (length, pop), xp.int64)
+    xp.multiply(seqs.T, instance.n_stages, out=ops)
+    ops += stages.T
+    machines = xp.take_into(
+        xp.asarray(instance.routing), ops,
+        out=scratch("jobshop.machines", (length, pop), xp.int64))
+    return _semi_active_scan(seqs.T, machines, ops, tables,
+                             instance.release, instance.n_jobs,
+                             instance.n_machines)
 
 
 # ---------------------------------------------------------------------------
@@ -127,46 +234,18 @@ def batch_completion_operation_sequence(instance: JobShopInstance,
     ``completion_times`` of
     :func:`~repro.scheduling.jobshop.decode_operation_sequence` per row.
 
-    The decode recurrence is sequential along the gene axis but independent
-    across individuals, so the scan runs as ``n_genes`` vectorised steps of
-    gather / max / add / scatter over flattened ``(pop, jobs)`` and
-    ``(pop, machines)`` state arrays.  For invalid chromosomes the result is
-    undefined unless ``validate=True`` (which raises).
+    The scan is :func:`_semi_active_scan` over one duration table.  A gene
+    outside ``range(n_jobs)`` raises ``IndexError``; for other invalid
+    chromosomes the result is undefined unless ``validate=True`` (which
+    raises ``ValueError``).
     """
     xp = _xp()
-    seqs = xp.asarray(sequences, dtype=xp.int64)
-    if seqs.ndim == 1:
-        seqs = seqs[None, :]
-    pop, length = seqs.shape
-    n, m = instance.n_jobs, instance.n_machines
-    if pop == 0:
-        return xp.zeros((0, n))
-    stages = operation_stages(instance, seqs, validate=validate)
-    proc = xp.asarray(instance.processing)
-    routing = xp.asarray(instance.routing)
-    durations = proc[seqs, stages]                         # (pop, L)
-    machines = routing[seqs, stages]                       # (pop, L)
-
-    # Flattened per-individual state + column-contiguous (L, pop) index
-    # tables so each scan step is a zero-copy row view.
-    base = xp.arange(pop, dtype=xp.int64)[:, None]
-    job_idx = xp.ascontiguousarray((base * n + seqs).T)
-    mach_idx = xp.ascontiguousarray((base * m + machines).T)
-    dur_cols = xp.ascontiguousarray(durations.T)
-
-    job_ready = xp.tile(xp.asarray(instance.release), pop)  # (pop * n,)
-    mach_ready = xp.zeros(pop * m)                          # (pop * m,)
-    for i in range(length):
-        ji = job_idx[i]
-        mi = mach_idx[i]
-        start = job_ready[ji]
-        xp.maximum(start, mach_ready[mi], out=start)
-        start += dur_cols[i]
-        job_ready[ji] = start
-        mach_ready[mi] = start
-    # every job's final ready time is the end of its last operation, and
-    # ends are non-decreasing along a job, so this is C_j
-    return job_ready.reshape(pop, n)
+    seqs = _genome_rows(sequences)
+    if seqs.shape[0] == 0:
+        return xp.zeros((0, instance.n_jobs))
+    processing = xp.reshape(xp.asarray(instance.processing), (1, -1))
+    return _operation_sequence_scan(instance, seqs, processing,
+                                    validate)[0]
 
 
 def batch_makespan_operation_sequence(instance: JobShopInstance,
@@ -206,45 +285,17 @@ def batch_completion_operation_sequence_scenarios(
     routing) and only the durations differ per scenario.
     """
     xp = _xp()
-    seqs = xp.asarray(sequences, dtype=xp.int64)
-    if seqs.ndim == 1:
-        seqs = seqs[None, :]
+    seqs = _genome_rows(sequences)
     stack = xp.asarray(processing_stack, dtype=xp.float64)
     if stack.ndim != 3 or stack.shape[1:] != instance.processing.shape:
         raise ValueError(
             f"processing_stack must be (K, n_jobs, n_stages) = "
             f"(K,) + {instance.processing.shape}, got {stack.shape}")
-    pop, length = seqs.shape
-    scenarios = stack.shape[0]
-    n, m = instance.n_jobs, instance.n_machines
+    scenarios, pop = stack.shape[0], seqs.shape[0]
     if pop == 0 or scenarios == 0:
-        return xp.zeros((scenarios, pop, n))
-    stages = operation_stages(instance, seqs, validate=validate)
-    routing = xp.asarray(instance.routing)
-    machines = routing[seqs, stages]                       # (pop, L)
-    durations = stack[:, seqs, stages]                     # (K, pop, L)
-
-    # The (k, p) pair is one flattened row; gather indices repeat over the
-    # scenario axis (same chromosome, same routing), durations do not.
-    base = xp.arange(scenarios * pop, dtype=xp.int64)[:, None]
-    seqs_all = xp.tile(seqs, (scenarios, 1))               # (K * pop, L)
-    mach_all = xp.tile(machines, (scenarios, 1))
-    job_idx = xp.ascontiguousarray((base * n + seqs_all).T)
-    mach_idx = xp.ascontiguousarray((base * m + mach_all).T)
-    dur_cols = xp.ascontiguousarray(
-        durations.reshape(scenarios * pop, length).T)
-
-    job_ready = xp.tile(xp.asarray(instance.release), scenarios * pop)
-    mach_ready = xp.zeros(scenarios * pop * m)
-    for i in range(length):
-        ji = job_idx[i]
-        mi = mach_idx[i]
-        start = job_ready[ji]
-        xp.maximum(start, mach_ready[mi], out=start)
-        start += dur_cols[i]
-        job_ready[ji] = start
-        mach_ready[mi] = start
-    return job_ready.reshape(scenarios, pop, n)
+        return xp.zeros((scenarios, pop, instance.n_jobs))
+    return _operation_sequence_scan(
+        instance, seqs, xp.reshape(stack, (scenarios, -1)), validate)
 
 
 # ---------------------------------------------------------------------------
@@ -687,24 +738,12 @@ def batch_completion_pair_sequence(instance: OpenShopInstance,
                 "(job, machine) operation exactly once")
     xp = _xp()
     seqs = xp.asarray(seqs, dtype=xp.int64)
-    proc = xp.asarray(instance.processing)
-    jobs = seqs // m                                       # (pop, L)
-    machines = seqs % m                                    # (pop, L)
-    durations = proc[jobs, machines]                       # (pop, L)
-
-    base = xp.arange(pop, dtype=xp.int64)[:, None]
-    job_idx = xp.ascontiguousarray((base * n + jobs).T)
-    mach_idx = xp.ascontiguousarray((base * m + machines).T)
-    dur_cols = xp.ascontiguousarray(durations.T)
-
-    job_ready = xp.tile(xp.asarray(instance.release), pop)  # (pop * n,)
-    mach_ready = xp.zeros(pop * m)                          # (pop * m,)
-    for i in range(length):
-        ji = job_idx[i]
-        mi = mach_idx[i]
-        start = job_ready[ji]
-        xp.maximum(start, mach_ready[mi], out=start)
-        start += dur_cols[i]
-        job_ready[ji] = start
-        mach_ready[mi] = start
-    return job_ready.reshape(pop, n)
+    _check_genes(seqs, n * m)
+    # op id j * m + mach is also the flat index into the (n, m) table
+    jobs = scratch("openshop.jobs", (length, pop), xp.int64)
+    machines = scratch("openshop.machines", (length, pop), xp.int64)
+    xp.floor_divide(seqs.T, m, out=jobs)
+    xp.remainder(seqs.T, m, out=machines)
+    processing = xp.reshape(xp.asarray(instance.processing), (1, -1))
+    return _semi_active_scan(jobs, machines, seqs.T, processing,
+                             instance.release, n, m)[0]
