@@ -43,14 +43,15 @@ def main() -> None:
                                mutation_rate=0.15),
                       MaxGenerations(gens), seed=seed).run()
 
-    island = IslandGA(problem, n_islands=4,
+    engine = IslandGA(problem, n_islands=4,
                       config=GAConfig(population_size=total_pop // 4,
                                       selection=sel, mutation_rate=0.15),
                       topology=RingTopology(4),
                       migration=MigrationPolicy(interval=10, rate=2,
                                                 emigrant="best",
                                                 replacement="worst"),
-                      termination=MaxGenerations(gens), seed=seed).run()
+                      termination=MaxGenerations(gens), seed=seed)
+    island = engine.run()
 
     print(f"instance {instance.name}: {instance.n_jobs} jobs x "
           f"{instance.n_machines} machines")
@@ -65,7 +66,7 @@ def main() -> None:
     print(ascii_curve(island.global_history.best_curve(), label="island"))
 
     print("\nper-island final bests:",
-          [f"{h.final_best():g}" for h in island.histories])
+          [f"{isl.population.best_objective():g}" for isl in engine.islands])
     print("\nnote: single-seed outcomes vary; experiment E09 "
           "(benchmarks/bench_e09.py) repeats this comparison over several "
           "seeds and checks Park et al.'s claim statistically.")

@@ -136,7 +136,7 @@ class SolverSpec:
         ``weights`` (``true`` or ``[lo, hi]``) attaches job weights.
     substrate:
         the GA engines choose their generation from the input: when the
-        genomes stack into a chromosome matrix (a grid tensor for the
+        genomes stack into a chromosome matrix (cells row-major for the
         cellular engines) and every operator has a batch twin, every
         stage runs as a matrix kernel (see :mod:`repro.core.substrate`);
         other inputs breed ``Individual`` objects pair by pair.

@@ -11,12 +11,12 @@ from .observers import (CallbackObserver, GenerationRecord, HistoryRecorder,
                         Observer)
 from .rng import RngStream, derive_rng, make_rng, spawn_rngs, spawn_seeds
 from .substrate import (SUBSTRATES, ArrayPopulationView, ArrayState,
-                        GridState, available_substrates)
+                        available_substrates)
 from .ga import GAConfig, GAResult, SimpleGA
 
 __all__ = [
     "Individual", "Population", "PopulationStats", "hamming_distance",
-    "SUBSTRATES", "available_substrates", "ArrayState", "GridState",
+    "SUBSTRATES", "available_substrates", "ArrayState",
     "ArrayPopulationView",
     "HeuristicOffsetFitness", "ReciprocalFitness", "RankFitness",
     "NegationFitness", "apply_fitness", "apply_fitness_array",

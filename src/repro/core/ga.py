@@ -21,10 +21,12 @@ the algorithm".
 
 The engine exposes both ``run()`` (full loop) and ``step()`` (one
 generation), the latter reused verbatim by the island model where every
-island is a SimpleGA.  On the array substrate a generation also comes in
-two halves, :meth:`SimpleGA.breed` (the draws) and
-:meth:`SimpleGA.adopt_arrays` (the merged result), which :func:`lockstep`
-uses to run the generation of many islands as one.
+island is a SimpleGA.  Only ``run()`` notifies the observers, so an
+island stepped by another engine records no history of its own.  On the
+array substrate a generation also comes in two halves,
+:meth:`SimpleGA.breed` (the draws) and :meth:`SimpleGA.adopt_arrays`
+(the merged result), which :func:`lockstep` uses to run the generation
+of many islands as one.
 """
 
 from __future__ import annotations
@@ -197,8 +199,13 @@ class SimpleGA:
         genomes to score and returns objectives.  This is the master-slave
         seam -- see :mod:`repro.parallel.master_slave`.
     observers:
-        extra observers beyond the built-in history recorder.
+        extra observers beyond the built-in history recorder; :meth:`run`
+        notifies them.
     """
+
+    #: whether a generation calls ``config.selection``, so that the array
+    #: path needs its batch twin
+    uses_selection = True
 
     def __init__(self, problem: Problem, config: GAConfig | None = None,
                  termination: Termination | None = None,
@@ -223,10 +230,10 @@ class SimpleGA:
         self.population: Population | None = None
         self.arrays: ArrayState | None = None
         if self.config.substrate == "array":
-            check_array_support(problem, self.config)
+            check_array_support(problem, self.config, self.uses_selection)
         #: the path that runs: ``"array"`` whenever the input stacks
-        self.substrate = ("array" if takes_arrays(problem, self.config)
-                          else "object")
+        self.substrate = ("array" if takes_arrays(
+            problem, self.config, self.uses_selection) else "object")
 
     # -- building blocks ---------------------------------------------------------
     def _seed_genomes(self) -> list:
@@ -255,7 +262,6 @@ class SimpleGA:
                         "into the chromosome matrix")
                 matrix[i] = row[0].astype(matrix.dtype, copy=False)
             self.adopt_arrays(matrix, self._evaluate_matrix(matrix))
-            self._notify()
             return self.population
         members = [Individual(self.problem.random_genome(self.rng))
                    for _ in range(self.config.population_size)]
@@ -264,7 +270,6 @@ class SimpleGA:
         pop = Population(members)
         self._evaluate(pop.members)
         self.population = pop
-        self._notify()
         return pop
 
     def adopt_arrays(self, matrix: np.ndarray,
@@ -421,21 +426,27 @@ class SimpleGA:
             self.adopt_arrays(*elitist_merge_arrays(
                 self.arrays, offspring, objectives, n_keep,
                 cfg.population_size, out=(rows[0], objs[0])))
-            self._notify()
             return self.population
         offspring = self.make_offspring(self.population, n_bred)
         self._evaluate(offspring)
         self.population = self.population.elitist_merge(offspring, n_keep)
-        self._notify()
         return self.population
 
     # -- full loop ---------------------------------------------------------------
     def run(self) -> GAResult:
-        """Run Table II until the termination criterion fires."""
+        """Run Table II until the termination criterion fires.
+
+        The observers see the starting population and every generation
+        after it; a bare :meth:`initialize` or :meth:`step` records
+        nothing, so engines that drive islands keep no history per
+        island.
+        """
         if self.population is None:
             self.initialize()
+        self._notify()
         while not self.termination.done(self.state):
             self.step()
+            self._notify()
         return GAResult(
             best=self.population.best().copy(),
             population=self.population,
@@ -504,9 +515,5 @@ def lockstep(engines: Sequence[SimpleGA],
         merged, objs = elitist_merge_rows(
             parents, parent_objectives, children, child_objectives, n_keep,
             size, out=members[0][0]._merge_buffers(k))
-        # adopt every island before any observer runs: the merge buffers
-        # are scratch, free again once copied out
         for j, (ga, _) in enumerate(members):
             ga.adopt_arrays(merged[j], objs[j])
-        for ga, _ in members:
-            ga._notify()

@@ -53,7 +53,7 @@ Generator = np.random.Generator
 
 __all__ = [
     "SUBSTRATES", "available_substrates",
-    "ArrayState", "GridState", "ArrayPopulationView",
+    "ArrayState", "ArrayPopulationView",
     "check_array_support", "check_assignment_crossover", "takes_arrays",
     "stable_topk",
     "Brood", "vary_broods", "make_offspring_matrix",
@@ -101,10 +101,9 @@ def check_array_support(problem: Any, config: Any,
     resolved operator has a registered batch twin (a composite's parts
     included).  ``config`` must be a resolved
     :class:`~repro.core.ga.GAConfig` (operators filled in).
-    ``selection=False`` skips the selection twin -- the cellular engines
-    never call ``config.selection`` (mate choice is the neighbourhood
-    tournament), so a custom selection without a batch twin must not
-    block their grid path.
+    ``selection=False`` skips the selection twin, for engines whose
+    generation never calls ``config.selection`` (the cellular grid, whose
+    mate choice is the neighbourhood tournament).
     """
     composite_ok = (problem.kind == "composite"
                     and getattr(problem.encoding, "part_spans", None)
@@ -225,57 +224,6 @@ class ArrayState:
 
     def copy(self) -> "ArrayState":
         return ArrayState(self.matrix.copy(), self.objectives.copy())
-
-
-class GridState(ArrayState):
-    """An :class:`ArrayState` with a 2-D spatial layout on top.
-
-    The cellular (fine-grained) engine's population is a toroidal grid:
-    one individual per cell.  :class:`GridState` stores it as the same
-    flat ``(rows*cols, n_genes)`` chromosome matrix every other array
-    engine uses -- cells flattened row-major, so cell ``(r, c)`` is row
-    ``r*cols + c`` -- and exposes :attr:`tensor` / :attr:`objective_grid`
-    reshaped *views* of the very same buffers.  Everything written for
-    :class:`ArrayState` (population views, migration row gather/scatter,
-    island tensor binding) therefore works on grids unchanged, while the
-    cellular step indexes neighbourhoods through precomputed flat offset
-    tables (:func:`repro.parallel.fine_grained.grid_neighbor_table`).
-    """
-
-    __slots__ = ("rows", "cols")
-
-    def __init__(self, tensor: Array, objectives: Array):
-        xp = _xp()
-        tensor = xp.ascontiguousarray(tensor)
-        objectives = xp.ascontiguousarray(
-            xp.asarray(objectives, dtype=xp.float64))
-        if tensor.ndim != 3 or objectives.shape != tensor.shape[:2]:
-            raise ValueError("need a (rows, cols, n_genes) tensor and a "
-                             "matching (rows, cols) objective grid")
-        self.rows, self.cols = int(tensor.shape[0]), int(tensor.shape[1])
-        super().__init__(tensor.reshape(self.rows * self.cols, -1),
-                         objectives.reshape(-1))
-
-    @classmethod
-    def from_matrix(cls, matrix: Array, objectives: Array,
-                    rows: int, cols: int) -> "GridState":
-        """Grid over an already-flat (row-major) population matrix."""
-        matrix = np.asarray(matrix)
-        return cls(matrix.reshape(rows, cols, matrix.shape[-1]),
-                   np.asarray(objectives, dtype=float).reshape(rows, cols))
-
-    @property
-    def tensor(self) -> Array:
-        """``(rows, cols, n_genes)`` chromosome tensor (a live view)."""
-        return self.matrix.reshape(self.rows, self.cols, -1)
-
-    @property
-    def objective_grid(self) -> Array:
-        """``(rows, cols)`` objective grid (a live view)."""
-        return self.objectives.reshape(self.rows, self.cols)
-
-    def copy(self) -> "GridState":
-        return GridState(self.tensor.copy(), self.objective_grid.copy())
 
 
 class ArrayPopulationView(Population):

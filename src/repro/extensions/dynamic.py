@@ -263,7 +263,6 @@ class PredictiveReactiveScheduler:
             pop = Population([Individual(g) for g in genomes])
             ga._evaluate(pop.members)
             ga.population = pop
-        ga._notify()
 
     def _optimise(self, instance: FlowShopInstance,
                   prefix: np.ndarray) -> tuple[np.ndarray, float]:

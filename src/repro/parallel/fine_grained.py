@@ -27,28 +27,31 @@ Neighbourhood shapes follow the cellular-GA literature (Alba & Dorronsoro
 [23]): ``L5`` (von Neumann), ``L9`` (axial radius 2), ``C9`` (Moore),
 ``C13`` (Moore + axial radius 2).
 
-A synchronous generation of an input that stacks into a matrix runs on
-the grid: a :class:`~repro.core.substrate.GridState` -- a
-``(rows, cols, n_genes)`` chromosome tensor plus a ``(rows, cols)``
-objective grid -- and one whole generation as batched kernels:
-neighbourhood selection is a gather through the precomputed toroidal
-offset table of :func:`grid_neighbor_table`, crossover/mutation reuse
-the :mod:`repro.operators.batch` kernels on the gated row subsets, and
-evaluation goes through the problem's vectorised batch decoder.  This
-is the cell-per-thread layout of Luo & El Baz's GPU papers
-(arXiv:1903.10722, 1903.10741) expressed as NumPy tensors.  Per-cell RNG
-draws (mate pair + the two rate gates) come from one raw block that
-reproduces the per-cell call order of :meth:`CellularGA._breed_cell`
-exactly, so grid generations equal the per-cell loop at the rate
-extremes under a shared seed.  Inputs that do not stack, and the
-asynchronous line sweep, keep a flat row-major
-:class:`~repro.core.population.Population` of cells (cell ``(r, c)`` is
-member ``r*cols + c``) and breed cell by cell.
+A :class:`CellularGA` is a :class:`~repro.core.ga.SimpleGA` whose
+population is the grid, cells flattened row-major (cell ``(r, c)`` is
+member ``r*cols + c``): it inherits the setup, the initialisation, the
+evaluation, the observers and the run loop, and replaces only the
+generation, where each cell takes its mate from its neighbourhood.
 
-Both paths expose what the island engine reads from a
-:class:`~repro.core.ga.SimpleGA` -- ``population``, ``arrays``, ``step``
-and ``uses_batch_path`` -- so a ring of cellular islands
-(:class:`~repro.parallel.hybrid.IslandOfCellularGA`) is an island GA.
+A synchronous generation of an input that stacks into a matrix runs on
+the population's :class:`~repro.core.substrate.ArrayState` -- the
+``(rows*cols, n_genes)`` chromosome matrix and its objectives -- as
+batched kernels: neighbourhood selection is a gather through the
+precomputed toroidal offset table of :func:`grid_neighbor_table`,
+crossover/mutation reuse the :mod:`repro.operators.batch` kernels on the
+gated row subsets, and evaluation goes through the problem's vectorised
+batch decoder.  This is the cell-per-thread layout of Luo & El Baz's GPU
+papers (arXiv:1903.10722, 1903.10741) expressed as NumPy arrays.
+Per-cell RNG draws (mate pair + the two rate gates) come from one raw
+block that reproduces the per-cell call order of
+:meth:`CellularGA._breed_cell` exactly, so grid generations equal the
+per-cell loop at the rate extremes under a shared seed.  Inputs that do
+not stack, and the asynchronous line sweep, keep a
+:class:`~repro.core.population.Population` of cells and breed cell by
+cell.
+
+Being a ``SimpleGA``, a grid can be an island:
+:class:`~repro.parallel.hybrid.IslandOfCellularGA` is a ring of them.
 """
 
 from __future__ import annotations
@@ -58,15 +61,12 @@ from typing import Sequence
 import numpy as np
 
 from ..core.backend import active_namespace as _xp
-from ..core.ga import GAConfig, GAResult
+from ..core.ga import GAConfig, GAResult, SimpleGA
 from ..core.individual import Individual
-from ..core.observers import HistoryRecorder, Observer
+from ..core.observers import Observer
 from ..core.population import Population
-from ..core.rng import cell_draws, make_rng
-from ..core.substrate import (ArrayPopulationView, GridState,
-                              check_array_support, random_matrix,
-                              takes_arrays)
-from ..core.termination import MaxGenerations, Termination, TerminationState
+from ..core.rng import cell_draws
+from ..core.termination import Termination
 from ..core.workspace import scratch
 from ..encodings.base import Problem
 from ..operators.batch import batch_crossover_for, batch_mutation_for
@@ -114,7 +114,7 @@ def grid_neighbor_table(rows: int, cols: int,
     return flat.reshape(rows * cols, len(offsets))
 
 
-class CellularGA:
+class CellularGA(SimpleGA):
     """Synchronous cellular GA on a toroidal grid.
 
     Parameters
@@ -126,11 +126,11 @@ class CellularGA:
     neighborhood:
         shape name from :data:`NEIGHBORHOODS`.
     config:
-        reuses GAConfig for operator choices and rates (population_size is
-        ignored -- the grid defines it).  A synchronous generation of an
-        input that stacks runs on the
-        :class:`~repro.core.substrate.GridState` tensor, every stage as
-        one batched kernel pass; other inputs breed cell by cell.
+        reuses GAConfig for operator choices, rates and seeding
+        (population_size is ignored -- the grid defines it).  A
+        synchronous generation of an input that stacks runs on the
+        population's chromosome matrix, every stage as one batched kernel
+        pass; other inputs breed cell by cell.
         ``config.substrate="array"`` refuses the latter up front.
     replacement:
         ``"if_better"`` (offspring replaces the cell only when strictly
@@ -146,6 +146,10 @@ class CellularGA:
         left neighbour's update), so it always breeds cell by cell.
     """
 
+    #: mate choice is the neighbourhood tournament, so a selection
+    #: operator without a batch twin does not block the grid path
+    uses_selection = False
+
     def __init__(self, problem: Problem, rows: int = 8, cols: int = 8,
                  neighborhood: str = "L5",
                  config: GAConfig | None = None,
@@ -160,120 +164,42 @@ class CellularGA:
             raise ValueError("replacement must be 'if_better' or 'always'")
         if update not in ("synchronous", "asynchronous"):
             raise ValueError("update must be 'synchronous' or 'asynchronous'")
-        self.problem = problem
-        self.rows, self.cols = rows, cols
         self.offsets = neighborhood_offsets(neighborhood)
+        config = config or GAConfig()
+        if config.substrate == "array" and update == "asynchronous":
+            raise ValueError(
+                "the asynchronous line sweep updates cells in place "
+                "(inherently sequential); substrate='array' supports "
+                "update='synchronous' only")
+        super().__init__(problem, config, termination, seed,
+                         observers=observers)
+        # the grid sets the size, past GAConfig's checks: a 1x1 grid or
+        # more elites than cells (the grid keeps no elites) still run
+        self.config.population_size = rows * cols
+        self.rows, self.cols = rows, cols
         self.neighborhood = neighborhood
-        base = config or GAConfig()
-        self.config = base.resolved(problem)
-        if self.config.substrate == "array":
-            if update == "asynchronous":
-                raise ValueError(
-                    "the asynchronous line sweep updates cells in place "
-                    "(inherently sequential); substrate='array' supports "
-                    "update='synchronous' only")
-            check_array_support(problem, self.config, selection=False)
-        #: the path that runs: the grid whenever the input stacks
-        self.substrate = "object"
-        if update == "synchronous" and takes_arrays(problem, self.config,
-                                                    selection=False):
-            self.substrate = "array"
-        self.termination = termination or MaxGenerations(100)
-        self.rng = make_rng(seed)
         self.replacement = replacement
         self.update = update
-        self.history = HistoryRecorder()
-        self.observers: list[Observer] = [self.history, *observers]
-        self.state = TerminationState()
-        #: the per-cell path's population, row-major
-        self.cells: Population | None = None
-        #: the grid path's population
-        self.arrays: GridState | None = None
-        self._view: ArrayPopulationView | None = None
+        if update == "asynchronous":
+            self.substrate = "object"
         self._neighbor_table: np.ndarray | None = None
-        self._batch_evaluate = problem.batch_evaluator()
-
-    # -- helpers -----------------------------------------------------------------
-    @property
-    def initialized(self) -> bool:
-        """Whether a population exists on either substrate."""
-        return self.cells is not None or self.arrays is not None
-
-    @property
-    def population(self) -> Population:
-        """The grid as a live row-major population."""
-        if self.arrays is not None:
-            return self._view
-        if self.cells is None:
-            raise ValueError("not initialised")
-        return self.cells
-
-    @property
-    def uses_batch_path(self) -> bool:
-        """Whether evaluation is vectorised (matrix decode), not per genome."""
-        return self._batch_evaluate is not None
 
     def neighbors(self, r: int, c: int) -> list[tuple[int, int]]:
         """Toroidal neighbour coordinates of cell (r, c)."""
         return [((r + dr) % self.rows, (c + dc) % self.cols)
                 for dr, dc in self.offsets]
 
-    def _evaluate(self, individuals: Sequence[Individual]) -> None:
-        todo = [ind for ind in individuals if not ind.evaluated]
-        if not todo:
-            return
-        objs = self.problem.evaluate_many([ind.genome for ind in todo])
-        for ind, obj in zip(todo, objs):
-            ind.objective = float(obj)
-        self.state.evaluations += len(todo)
-
-    def _evaluate_matrix(self, matrix: np.ndarray) -> np.ndarray:
-        """Objectives of a chromosome matrix (grid-substrate evaluation)."""
-        if self._batch_evaluate is not None:
-            objectives = self._batch_evaluate(matrix)
-        else:
-            objectives = self.problem.evaluate_many(
-                [self.problem.unstack_row(row) for row in matrix])
-        self.state.evaluations += matrix.shape[0]
-        xp = _xp()
-        return xp.asarray(objectives, dtype=xp.float64)
-
-    def initialize(self) -> None:
-        """Random grid, fully evaluated."""
-        if self.substrate == "array":
-            n = self.rows * self.cols
-            matrix = random_matrix(self.problem, n, self.rng)
-            self.arrays = GridState.from_matrix(
-                matrix, self._evaluate_matrix(matrix), self.rows, self.cols)
-            self._view = ArrayPopulationView(self.problem, self.arrays)
-            self._neighbor_table = grid_neighbor_table(
-                self.rows, self.cols, self.offsets)
-            self._notify()
-            return
-        self.cells = Population(
-            Individual(self.problem.random_genome(self.rng))
-            for _ in range(self.rows * self.cols))
-        self._evaluate(self.cells.members)
-        self._notify()
-
-    def _notify(self) -> None:
-        pop = self.population
-        self.state.record_best(pop.best_objective())
-        for obs in self.observers:
-            obs.observe(self.state.generation, pop, self.state.evaluations,
-                        self.state.elapsed())
-
     def _local_mate(self, r: int, c: int) -> Individual:
         """Pick a mate from (r, c)'s neighbourhood by local tournament."""
         coords = self.neighbors(r, c)
-        pool = [self.cells[rr * self.cols + cc] for rr, cc in coords]
+        pool = [self.population[rr * self.cols + cc] for rr, cc in coords]
         i, j = self.rng.integers(0, len(pool), size=2)
         a, b = pool[int(i)], pool[int(j)]
         return a if a.objective <= b.objective else b
 
     def _breed_cell(self, r: int, c: int) -> Individual:
         cfg = self.config
-        centre = self.cells[r * self.cols + c]
+        centre = self.population[r * self.cols + c]
         mate = self._local_mate(r, c)
         if self.rng.random() < cfg.crossover_rate:
             ga, _gb = cfg.crossover(centre.genome, mate.genome, self.rng)
@@ -286,8 +212,8 @@ class CellularGA:
 
     def _replace_cell(self, i: int, child: Individual) -> None:
         if (self.replacement == "always"
-                or child.objective < self.cells[i].objective):
-            self.cells[i] = child
+                or child.objective < self.population[i].objective):
+            self.population[i] = child
 
     def _step_grid(self) -> None:
         """One synchronous generation as tensor kernels (lines 4-7 batched).
@@ -301,12 +227,15 @@ class CellularGA:
         through the offset table, crossover/mutation run on the gated row
         subsets via the :mod:`repro.operators.batch` kernels, evaluation
         decodes all candidates as one matrix, and replacement is one
-        masked assignment against the *old* objective grid -- synchronous
+        masked assignment against the *old* objectives -- synchronous
         lock-step (visit-order independence) by construction.
         """
         cfg = self.config
         state = self.arrays
         matrix, objectives = state.matrix, state.objectives
+        if self._neighbor_table is None:
+            self._neighbor_table = grid_neighbor_table(
+                self.rows, self.cols, self.offsets)
         table = self._neighbor_table
         n, n_nbr = table.shape
         rng = self.rng
@@ -350,9 +279,9 @@ class CellularGA:
         objectives[accept] = child_objectives[accept]
         state.touch()
 
-    def step(self) -> None:
+    def step(self) -> Population:
         """One generation (lines 4-7 of Table IV)."""
-        if not self.initialized:
+        if self.population is None:
             self.initialize()
         self.state.generation += 1
         if self.substrate == "array":
@@ -370,25 +299,12 @@ class CellularGA:
                     child = self._breed_cell(r, c)
                     self._evaluate([child])
                     self._replace_cell(r * self.cols + c, child)
-        self._notify()
+        return self.population
 
     def run(self) -> GAResult:
         """Run Table IV until termination."""
-        if not self.initialized:
-            self.initialize()
-        while not self.termination.done(self.state):
-            self.step()
-        pop = self.population
-        return GAResult(
-            best=pop.best().copy(),
-            population=pop,
-            history=self.history,
-            generations=self.state.generation,
-            evaluations=self.state.evaluations,
-            elapsed=self.state.elapsed(),
-            termination_reason=self.termination.reason(),
-            extra={"rows": self.rows, "cols": self.cols,
-                   "neighborhood": self.neighborhood,
-                   "update": self.update,
-                   "substrate": self.substrate},
-        )
+        result = super().run()
+        result.extra.update(rows=self.rows, cols=self.cols,
+                            neighborhood=self.neighborhood,
+                            update=self.update)
+        return result

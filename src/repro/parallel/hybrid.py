@@ -17,7 +17,10 @@ Section I).  Implemented hybrids and their sources:
 
 Both hybrid classes are :class:`~repro.parallel.island.IslandGA` subclasses:
 the island engine's run loop, tensor binding, history and migration
-serve them, and they change only the island or add an exchange.
+serve them, and they change only the island or add an exchange.  A
+:class:`~repro.parallel.fine_grained.CellularGA` island is itself a
+:class:`~repro.core.ga.SimpleGA` over an ``ArrayState`` of cells, and
+like every island it is stepped, so it records no history of its own.
 """
 
 from __future__ import annotations

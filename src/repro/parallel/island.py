@@ -17,6 +17,8 @@
 Every island is a full :class:`~repro.core.ga.SimpleGA` over its own
 subpopulation; a :class:`~repro.parallel.topology.Topology` plus a
 :class:`~repro.parallel.migration.MigrationPolicy` drive the exchange.
+The engine steps its islands and never runs them, so they notify no
+observers: the one history is the engine's ``global_history``.
 One loop, :meth:`IslandGA._exchange`, runs every exchange on both
 substrates.  The hybrids of :mod:`repro.parallel.hybrid` are subclasses:
 :class:`~repro.parallel.hybrid.IslandOfCellularGA` swaps the island for
@@ -113,7 +115,6 @@ class IslandGAResult:
     """
 
     best: Individual
-    histories: list[HistoryRecorder]
     global_history: HistoryRecorder
     generations: int
     evaluations: int
@@ -265,7 +266,6 @@ class IslandGA:
                                      src.objectives.copy())
                 else:
                     isl.population = first.copy()
-                isl._notify()
         else:
             for isl in self.islands:
                 isl.initialize()
@@ -453,7 +453,6 @@ class IslandGA:
                           key=lambda isl: isl.population.best_objective())
         return IslandGAResult(
             best=best_island.population.best().copy(),
-            histories=[isl.history for isl in self.islands],
             global_history=self.global_history,
             generations=self.state.generation,
             evaluations=self.state.evaluations,

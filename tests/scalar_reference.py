@@ -280,9 +280,7 @@ def reference(op):
 @contextmanager
 def per_pair():
     """Engines built in the block breed pair by pair, whatever the input."""
-    with mock.patch("repro.core.ga.takes_arrays", return_value=False), \
-            mock.patch("repro.parallel.fine_grained.takes_arrays",
-                       return_value=False):
+    with mock.patch("repro.core.ga.takes_arrays", return_value=False):
         yield
 
 

@@ -1,4 +1,4 @@
-"""Conformance suite for the grid-tensor cellular substrate.
+"""Conformance suite for the cellular grid's array path.
 
 Mirrors the layers of ``tests/test_substrate.py`` for the fine-grained
 engine: neighbourhood-gather correctness (the offset index tables that
@@ -7,7 +7,7 @@ the permutation/repetition crossovers, exact equality of the grid with
 the per-cell loop (``scalar_reference.per_pair``) at the rate extremes
 under a shared seed (the per-cell RNG draw order is preserved by
 construction), and search-quality parity on a ta-style flow shop.  The
-hybrid island-of-cellular engine is exercised on the same grid tensors,
+hybrid island-of-cellular engine is exercised on the same grids,
 including the shared ``(n_islands, cells, n_genes)`` binding.
 """
 
@@ -22,7 +22,7 @@ from repro import (GAConfig, MaxGenerations, MigrationPolicy, Population,
                    Problem, SolverSpec)
 from repro.core import rng as rng_module
 from repro.core.rng import cell_draws
-from repro.core.substrate import ArrayPopulationView, ArrayState, GridState
+from repro.core.substrate import ArrayPopulationView
 from repro.encodings import (FlowShopPermutationEncoding,
                              OperationBasedEncoding,
                              RandomKeysFlowShopEncoding)
@@ -67,58 +67,6 @@ class TestNeighborTable:
     def test_table_values_are_valid_flat_indices(self):
         table = grid_neighbor_table(4, 5, NEIGHBORHOODS["C13"])
         assert table.min() >= 0 and table.max() < 20
-
-
-# -- GridState -------------------------------------------------------------------
-
-class TestGridState:
-    def test_tensor_and_grid_are_live_views(self):
-        tensor = np.arange(24, dtype=np.int64).reshape(2, 3, 4)
-        objs = np.arange(6, dtype=float).reshape(2, 3)
-        state = GridState(tensor, objs)
-        assert isinstance(state, ArrayState)
-        assert state.matrix.shape == (6, 4)
-        assert state.objective_grid.shape == (2, 3)
-        state.matrix[5] = -1
-        assert np.array_equal(state.tensor[1, 2], [-1, -1, -1, -1])
-        state.objectives[0] = 99.0
-        assert state.objective_grid[0, 0] == 99.0
-
-    def test_from_matrix_round_trip(self):
-        matrix = np.arange(12).reshape(6, 2)
-        objs = np.arange(6, dtype=float)
-        state = GridState.from_matrix(matrix, objs, 2, 3)
-        assert state.rows == 2 and state.cols == 3
-        assert np.array_equal(state.matrix, matrix)
-        # cell (r, c) is flat row r*cols + c, row-major
-        assert np.array_equal(state.tensor[1, 2], matrix[5])
-
-    def test_copy_is_independent(self):
-        state = GridState(np.zeros((2, 2, 3)), np.zeros((2, 2)))
-        dup = state.copy()
-        assert isinstance(dup, GridState)
-        dup.matrix[0] = 7
-        assert state.matrix[0].sum() == 0
-
-    def test_bad_shapes_raise(self):
-        with pytest.raises(ValueError, match="rows, cols"):
-            GridState(np.zeros((4, 3)), np.zeros(4))
-        with pytest.raises(ValueError, match="rows, cols"):
-            GridState(np.zeros((2, 3, 4)), np.zeros((3, 2)))
-
-    def test_population_view_over_grid(self, ft06_problem):
-        ga = CellularGA(ft06_problem, rows=3, cols=3,
-                        config=GAConfig(substrate="array"),
-                        termination=MaxGenerations(2), seed=4)
-        ga.run()
-        view = ga.population
-        assert isinstance(view, ArrayPopulationView)
-        assert len(view) == 9
-        snapshot = Population(ind.copy() for ind in view)
-        assert view.best().objective == snapshot.best().objective
-        assert view.stats().as_dict() == \
-            pytest.approx(snapshot.stats().as_dict())
-        assert view.unique_fraction() == snapshot.unique_fraction()
 
 
 # -- closure of the grid kernels -------------------------------------------------
@@ -180,7 +128,7 @@ def run_cell_pair(problem, seed=11, gens=4, rows=3, cols=4,
 
 def object_grid_arrays(ga):
     """Row-major (matrix, objectives) of an object-substrate grid."""
-    flat = ga.cells
+    flat = ga.population
     return (np.stack([np.asarray(ind.genome) for ind in flat]),
             np.array([ind.objective for ind in flat]))
 
@@ -373,6 +321,20 @@ class TestQualityAndEngines:
         ga.initialize()
         initial = ga.population.best().objective
         assert ga.run().best_objective <= initial
+
+    def test_population_view_over_grid(self, ft06_problem):
+        ga = CellularGA(ft06_problem, rows=3, cols=3,
+                        config=GAConfig(substrate="array"),
+                        termination=MaxGenerations(2), seed=4)
+        ga.run()
+        view = ga.population
+        assert isinstance(view, ArrayPopulationView)
+        assert len(view) == 9
+        snapshot = Population(ind.copy() for ind in view)
+        assert view.best().objective == snapshot.best().objective
+        assert view.stats().as_dict() == \
+            pytest.approx(snapshot.stats().as_dict())
+        assert view.unique_fraction() == snapshot.unique_fraction()
 
     def test_hybrid_tensor_binding_and_migration(self, ft06_problem):
         ga = IslandOfCellularGA(ft06_problem, n_islands=3, rows=3, cols=3,

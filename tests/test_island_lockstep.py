@@ -56,10 +56,6 @@ def assert_lockstep_matches_alone(problem, configs, interval, epochs,
                                   ga.arrays.objectives)
             assert isl.state.evaluations == ga.state.evaluations
             assert isl.state.generation == ga.state.generation
-            assert np.array_equal(isl.history.best_curve(),
-                                  ga.history.best_curve())
-            assert np.array_equal(isl.history.mean_curve(),
-                                  ga.history.mean_curve())
     return island
 
 

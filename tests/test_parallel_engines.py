@@ -72,7 +72,6 @@ class TestIslandGA:
                        termination=MaxGenerations(12), seed=4).run()
         assert res.generations == 12
         assert res.n_islands_final == 3
-        assert len(res.histories) == 3
         assert res.evaluations == 3 * 8 * 13  # init + 12 generations
 
     def test_deterministic(self, problem):
