@@ -281,18 +281,25 @@ def jox_kernel(A: np.ndarray, B: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return child
 
 
+def _cut_mask(shape: tuple[int, int], cuts: np.ndarray) -> np.ndarray:
+    """Row-wise n-point exchange mask from sorted ``(rows, k)`` cuts:
+    ``True`` where the child takes parent B's gene."""
+    xp = _xp()
+    m, n = shape
+    delta = xp.zeros((m, n), dtype=xp.int64)
+    xp.scatter_add(delta, (xp.arange(m, dtype=xp.int64)[:, None], cuts), 1)
+    return (xp.cumsum(delta, axis=1) % 2).astype(bool)
+
+
 def npoint_kernel(A: np.ndarray, B: np.ndarray,
                   cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise n-point exchange masks from sorted ``(rows, k)`` cuts.
+    """Row-wise n-point exchange from sorted ``(rows, k)`` cuts.
 
     Returns the raw (pre-repair) children; segment parity starts at
     parent A exactly like ``NPointCrossover``.
     """
     xp = _xp()
-    m, n = A.shape
-    delta = xp.zeros((m, n), dtype=xp.int64)
-    xp.scatter_add(delta, (xp.arange(m, dtype=xp.int64)[:, None], cuts), 1)
-    mask = (xp.cumsum(delta, axis=1) % 2).astype(bool)
+    mask = _cut_mask(A.shape, cuts)
     return xp.where(mask, B, A), xp.where(mask, A, B)
 
 
@@ -334,18 +341,26 @@ def shift_kernel(X: np.ndarray, src: np.ndarray,
 # one implementation -- and because kernels never draw, the parameters
 # of several populations' rows can be stacked (:func:`stack_params`) and
 # varied by one kernel call while each population keeps its own stream.
+# A crossover twin also has a one-child kernel: a cellular cell keeps
+# only its first child, and computing the second would double the work.
+# Symmetric crossovers are written once, as that child, and their pair
+# kernel swaps the parents.
 
 class SplitTwin(NamedTuple):
     """A batch twin as a draw step plus a row-wise, draw-free kernel step.
 
-    Crossover: ``draw(op, A, B, rng) -> params`` and
-    ``kernel(op, A, B, params) -> (CA, CB)``.  Mutation:
+    Crossover: ``draw(op, A, B, rng) -> params``,
+    ``kernel(op, A, B, params) -> (CA, CB)`` and the one-child kernel
+    ``child(op, A, B, params) -> CA``, byte-equal to ``kernel(...)[0]``
+    (what a cellular cell keeps; :func:`split_crossover_for` derives it
+    from ``kernel`` for a twin registered without one).  Mutation:
     ``draw(op, X, rng) -> params`` (the built-ins read only ``X.shape``)
-    and ``kernel(op, X, params) -> X'``.
+    and ``kernel(op, X, params) -> X'``; ``child`` stays ``None``.
     """
 
     draw: Callable
     kernel: Callable
+    child: Callable | None = None
 
 
 def _pass_through(op, *args):
@@ -412,7 +427,8 @@ def register_batch_crossover(scalar_cls: type):
     """Register ``fn(op, A, B, rng) -> (CA, CB)`` as the batch twin.
 
     A one-shot twin has no draw/kernel split; the island engine's fused
-    generation calls it once per island.
+    generation calls it once per island, and a cellular grid keeps the
+    first child of its pair.
     """
     def deco(fn):
         _BATCH_CROSSOVERS[scalar_cls] = fn
@@ -420,11 +436,24 @@ def register_batch_crossover(scalar_cls: type):
     return deco
 
 
-def _split_crossover(scalar_cls: type, draw: Callable):
-    """Register the decorated ``kernel(op, A, B, params)`` with ``draw``."""
+def _split_crossover(scalar_cls: type, draw: Callable, child: Callable):
+    """Register the decorated pair ``kernel(op, A, B, params)`` with
+    ``draw`` and the one-child ``child``."""
     def deco(kernel):
-        _BATCH_CROSSOVERS[scalar_cls] = SplitTwin(draw, kernel)
+        _BATCH_CROSSOVERS[scalar_cls] = SplitTwin(draw, kernel, child)
         return kernel
+    return deco
+
+
+def _symmetric_crossover(scalar_cls: type, draw: Callable):
+    """Register the decorated one-child ``child(op, A, B, params)`` with
+    ``draw``; the pair is ``child(A, B), child(B, A)`` under one draw,
+    the parents swapping roles."""
+    def deco(child):
+        def kernel(op, A: Array, B: Array, params) -> tuple[Array, Array]:
+            return child(op, A, B, params), child(op, B, A, params)
+        _BATCH_CROSSOVERS[scalar_cls] = SplitTwin(draw, kernel, child)
+        return child
     return deco
 
 
@@ -437,20 +466,14 @@ def _draw_segment(op, A: Array, B: Array, rng: Generator):
     return lo, hi + 1
 
 
-@_split_crossover(OrderCrossover, _draw_segment)
-def _batch_ox(op, A: Array, B: Array, params) -> tuple[Array, Array]:
-    if params is None:
-        return A.copy(), B.copy()
-    lo, hi = params
-    return ox_kernel(A, B, lo, hi), ox_kernel(B, A, lo, hi)
+@_symmetric_crossover(OrderCrossover, _draw_segment)
+def _ox_child(op, A: Array, B: Array, params) -> Array:
+    return A.copy() if params is None else ox_kernel(A, B, *params)
 
 
-@_split_crossover(PMXCrossover, _draw_segment)
-def _batch_pmx(op, A: Array, B: Array, params) -> tuple[Array, Array]:
-    if params is None:
-        return A.copy(), B.copy()
-    lo, hi = params
-    return pmx_kernel(A, B, lo, hi), pmx_kernel(B, A, lo, hi)
+@_symmetric_crossover(PMXCrossover, _draw_segment)
+def _pmx_child(op, A: Array, B: Array, params) -> Array:
+    return A.copy() if params is None else pmx_kernel(A, B, *params)
 
 
 def _draw_jox(op, A: Array, B: Array, rng: Generator) -> Array:
@@ -458,16 +481,41 @@ def _draw_jox(op, A: Array, B: Array, rng: Generator) -> Array:
     return rng.random((A.shape[0], _value_range(A, B))) < 0.5
 
 
-@_split_crossover(JobBasedCrossover, _draw_jox)
-def _batch_jox(op, A: Array, B: Array, keep: Array) -> tuple[Array, Array]:
-    return jox_kernel(A, B, keep), jox_kernel(B, A, keep)
+@_symmetric_crossover(JobBasedCrossover, _draw_jox)
+def _jox_child(op, A: Array, B: Array, keep: Array) -> Array:
+    return jox_kernel(A, B, keep)
 
 
-def _repair_pair(A, B, CA, CB):
-    n_values = _value_range(A, B)
-    counts = row_bincount(A, n_values)
-    return (batch_repair_to_multiset(CA, counts, B),
-            batch_repair_to_multiset(CB, counts, A))
+def _repairs(op, A: Array) -> bool:
+    return op.repair and np.issubdtype(A.dtype, np.integer)
+
+
+def _exchange_child(op, A: Array, B: Array, mask: Array) -> Array:
+    """A with B's genes where ``mask``, repaired to A's multiset from
+    donor B when ``op`` repairs."""
+    child = _xp().where(mask, B, A)
+    if _repairs(op, A):
+        child = batch_repair_to_multiset(
+            child, row_bincount(A, _value_range(A, B)), B)
+    return child
+
+
+def _exchange_pair(op, A: Array, B: Array,
+                   mask: Array) -> tuple[Array, Array]:
+    """:func:`_exchange_child` and B's child, also repaired to A's
+    multiset (from donor A).
+
+    Both children of n-point and uniform crossover keep A's multiset, so
+    once the parents' multisets differ B's child is not the one child
+    with the parents swapped.
+    """
+    xp = _xp()
+    CA, CB = xp.where(mask, B, A), xp.where(mask, A, B)
+    if _repairs(op, A):
+        counts = row_bincount(A, _value_range(A, B))
+        CA = batch_repair_to_multiset(CA, counts, B)
+        CB = batch_repair_to_multiset(CB, counts, A)
+    return CA, CB
 
 
 def _draw_npoint(op: NPointCrossover, A: Array, B: Array,
@@ -487,15 +535,18 @@ def _draw_npoint(op: NPointCrossover, A: Array, B: Array,
                    axis=1).astype(xp.int64) + 1
 
 
-@_split_crossover(NPointCrossover, _draw_npoint)
+def _npoint_child(op: NPointCrossover, A: Array, B: Array, cuts) -> Array:
+    if cuts is None:
+        return A.copy()
+    return _exchange_child(op, A, B, _cut_mask(A.shape, cuts))
+
+
+@_split_crossover(NPointCrossover, _draw_npoint, _npoint_child)
 def _batch_npoint(op: NPointCrossover, A: Array, B: Array,
                   cuts) -> tuple[Array, Array]:
     if cuts is None:
         return A.copy(), B.copy()
-    CA, CB = npoint_kernel(A, B, cuts)
-    if op.repair and np.issubdtype(A.dtype, np.integer):
-        CA, CB = _repair_pair(A, B, CA, CB)
-    return CA, CB
+    return _exchange_pair(op, A, B, _cut_mask(A.shape, cuts))
 
 
 def _draw_uniform(op: UniformCrossover, A: Array, B: Array,
@@ -503,15 +554,8 @@ def _draw_uniform(op: UniformCrossover, A: Array, B: Array,
     return rng.random(A.shape) < op.swap_prob
 
 
-@_split_crossover(UniformCrossover, _draw_uniform)
-def _batch_uniform(op: UniformCrossover, A: Array, B: Array,
-                   mask: Array) -> tuple[Array, Array]:
-    xp = _xp()
-    CA = xp.where(mask, B, A)
-    CB = xp.where(mask, A, B)
-    if op.repair and np.issubdtype(A.dtype, np.integer):
-        CA, CB = _repair_pair(A, B, CA, CB)
-    return CA, CB
+_BATCH_CROSSOVERS[UniformCrossover] = SplitTwin(
+    _draw_uniform, _exchange_pair, _exchange_child)
 
 
 def _draw_param_uniform(op: ParameterizedUniformCrossover, A: Array,
@@ -519,13 +563,12 @@ def _draw_param_uniform(op: ParameterizedUniformCrossover, A: Array,
     return rng.random(A.shape) < op.bias
 
 
-@_split_crossover(ParameterizedUniformCrossover, _draw_param_uniform)
-def _batch_param_uniform(op: ParameterizedUniformCrossover, A: Array,
-                         B: Array, take_a: Array) -> tuple[Array, Array]:
+@_symmetric_crossover(ParameterizedUniformCrossover, _draw_param_uniform)
+def _param_uniform_child(op: ParameterizedUniformCrossover, A: Array,
+                         B: Array, take_a: Array) -> Array:
     xp = _xp()
-    A = xp.asarray(A, dtype=xp.float64)
-    B = xp.asarray(B, dtype=xp.float64)
-    return xp.where(take_a, A, B), xp.where(take_a, B, A)
+    return xp.where(take_a, xp.asarray(A, dtype=xp.float64),
+                    xp.asarray(B, dtype=xp.float64))
 
 
 def _draw_arithmetic(op: ArithmeticCrossover, A: Array, B: Array,
@@ -536,15 +579,16 @@ def _draw_arithmetic(op: ArithmeticCrossover, A: Array, B: Array,
     return rng.random((A.shape[0], 1))
 
 
-@_split_crossover(ArithmeticCrossover, _draw_arithmetic)
-def _batch_arithmetic(op: ArithmeticCrossover, A: Array, B: Array,
-                      w) -> tuple[Array, Array]:
+@_symmetric_crossover(ArithmeticCrossover, _draw_arithmetic)
+def _arithmetic_child(op: ArithmeticCrossover, A: Array, B: Array,
+                      w) -> Array:
+    """``w * A + (1 - w) * B``; with the parents swapped it adds the same
+    two products in the other order, which IEEE addition does exactly."""
     xp = _xp()
-    A = xp.asarray(A, dtype=xp.float64)
-    B = xp.asarray(B, dtype=xp.float64)
     if w is None:
         w = op.fixed_weight
-    return w * A + (1 - w) * B, (1 - w) * A + w * B
+    return (w * xp.asarray(A, dtype=xp.float64)
+            + (1 - w) * xp.asarray(B, dtype=xp.float64))
 
 
 def _draw_composite_crossover(op: CompositeCrossover, A: Array, B: Array,
@@ -554,7 +598,20 @@ def _draw_composite_crossover(op: CompositeCrossover, A: Array, B: Array,
             for part, cols in _live_parts(op, "crossover")]
 
 
-@_split_crossover(CompositeCrossover, _draw_composite_crossover)
+def _composite_child(op: CompositeCrossover, A: Array, B: Array,
+                     params: list) -> Array:
+    """The first child of :func:`_batch_composite_crossover`: each part's
+    one-child kernel on its span."""
+    CA = A.copy()
+    for (part, cols), part_params in zip(_live_parts(op, "crossover"),
+                                         params):
+        CA[:, cols] = split_crossover_for(part).child(
+            part, A[:, cols], B[:, cols], part_params)
+    return CA
+
+
+@_split_crossover(CompositeCrossover, _draw_composite_crossover,
+                  _composite_child)
 def _batch_composite_crossover(op: CompositeCrossover, A: Array, B: Array,
                                params: list) -> tuple[Array, Array]:
     """Column-sliced composite: each part's registered twin on its span.
@@ -806,8 +863,18 @@ def batch_selection_for(op: Selection) -> Callable:
 
 
 def split_crossover_for(op: Crossover) -> SplitTwin:
-    """Draw and kernel halves of scalar ``op``'s batch crossover twin."""
-    return _as_split(_lookup(_BATCH_CROSSOVERS, op, "crossover"))
+    """Draw, pair-kernel and one-child halves of scalar ``op``'s batch
+    crossover twin.
+
+    A twin registered without a one-child kernel (a one-shot twin) gets
+    one that keeps the first child of its pair.
+    """
+    twin = _as_split(_lookup(_BATCH_CROSSOVERS, op, "crossover"))
+    if twin.child is not None:
+        return twin
+    pair = twin.kernel
+    return twin._replace(
+        child=lambda op, A, B, params: pair(op, A, B, params)[0])
 
 
 def split_mutation_for(op: Mutation) -> SplitTwin:
@@ -815,10 +882,15 @@ def split_mutation_for(op: Mutation) -> SplitTwin:
     return _as_split(_lookup(_BATCH_MUTATIONS, op, "mutation"))
 
 
-def batch_crossover_for(op: Crossover) -> Callable:
-    """``(A, B, rng) -> (CA, CB)`` twin of scalar ``op``: draw, then kernel."""
+def batch_crossover_for(op: Crossover, pair: bool = True) -> Callable:
+    """``(A, B, rng) -> (CA, CB)`` twin of scalar ``op``: draw, then kernel.
+
+    ``pair=False`` gives ``(A, B, rng) -> CA``: the same draw, then the
+    one-child kernel, so the second child is never computed.
+    """
     twin = split_crossover_for(op)
-    return lambda A, B, rng: twin.kernel(op, A, B, twin.draw(op, A, B, rng))
+    kernel = twin.kernel if pair else twin.child
+    return lambda A, B, rng: kernel(op, A, B, twin.draw(op, A, B, rng))
 
 
 def batch_mutation_for(op: Mutation) -> Callable:

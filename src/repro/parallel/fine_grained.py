@@ -40,8 +40,11 @@ batched kernels: neighbourhood selection is a gather through the
 precomputed toroidal offset table of :func:`grid_neighbor_table`,
 crossover/mutation reuse the :mod:`repro.operators.batch` kernels on the
 gated row subsets, and evaluation goes through the problem's vectorised
-batch decoder.  This is the cell-per-thread layout of Luo & El Baz's GPU
-papers (arXiv:1903.10722, 1903.10741) expressed as NumPy arrays.
+batch decoder.  A cell mates once and makes one offspring, so the
+crossover makes its pair's draw and then computes only that first child
+(the twin's one-child kernel).  This is the cell-per-thread layout of
+Luo & El Baz's GPU papers (arXiv:1903.10722, 1903.10741) expressed as
+NumPy arrays.
 Per-cell RNG draws (mate pair + the two rate gates) come from one raw
 block that reproduces the per-cell call order of
 :meth:`CellularGA._breed_cell` exactly, so grid generations equal the
@@ -225,7 +228,8 @@ class CellularGA(SimpleGA):
         :meth:`_breed_cell`'s; the per-cell work is batched too:
         neighbourhood selection is one gather
         through the offset table, crossover/mutation run on the gated row
-        subsets via the :mod:`repro.operators.batch` kernels, evaluation
+        subsets via the :mod:`repro.operators.batch` kernels (crossover
+        computing only the child a cell keeps), evaluation
         decodes all candidates as one matrix, and replacement is one
         masked assignment against the *old* objectives -- synchronous
         lock-step (visit-order independence) by construction.
@@ -253,16 +257,16 @@ class CellularGA(SimpleGA):
         children = scratch("cellular.children", shape, matrix.dtype)
         children[...] = matrix
         if cross_gate.any():
-            cross = batch_crossover_for(cfg.crossover)
+            # a cell keeps one child, the first of its pair: the twin
+            # makes the pair's draw and computes that child alone
+            cross = batch_crossover_for(cfg.crossover, pair=False)
             cells = xp.nonzero(cross_gate)[0]
             rows = (cells.shape[0], shape[1])
-            # the first child replaces the centre; the pair is dropped
-            # at once, before the decode allocates
             children[cross_gate] = cross(
                 xp.take_into(matrix, cells, axis=0, out=scratch(
                     "cellular.centres", rows, matrix.dtype)),
                 xp.take_into(matrix, mate_idx[cells], axis=0, out=scratch(
-                    "cellular.mates", rows, matrix.dtype)), rng)[0]
+                    "cellular.mates", rows, matrix.dtype)), rng)
         if mut_gate.any():
             mutate = batch_mutation_for(cfg.mutation)
             cells = xp.nonzero(mut_gate)[0]

@@ -303,24 +303,19 @@ class IslandGA:
                                    if isl.population is not None))
 
     def _record_global(self) -> None:
+        # the recorder reads objectives only: concatenate the islands'
+        # vectors, not their members or genome matrices
         if self.substrate == "array":
-            # concatenate the island arrays instead of boxing every
-            # member: the view's stats()/best() stay fully vectorised
-            from ..core.substrate import ArrayPopulationView, ArrayState
-            xp = _xp()
-            states = [isl.arrays for isl in self.islands
-                      if isl.arrays is not None]
-            merged = ArrayPopulationView(self.problem, ArrayState(
-                xp.concatenate([s.matrix for s in states]),
-                xp.concatenate([s.objectives for s in states])))
+            parts = [isl.arrays.objectives for isl in self.islands
+                     if isl.arrays is not None]
         else:
-            merged = Population([ind for isl in self.islands
-                                 if isl.population is not None
-                                 for ind in isl.population])
-        self.global_history.observe(self.state.generation, merged,
-                                    self.state.evaluations,
-                                    self.state.elapsed(),
-                                    n_islands=len(self._active))
+            parts = [isl.population.objectives() for isl in self.islands
+                     if isl.population is not None]
+        self.global_history.record(self.state.generation,
+                                   _xp().concatenate(parts),
+                                   self.state.evaluations,
+                                   self.state.elapsed(),
+                                   n_islands=len(self._active))
 
     # -- evolution ---------------------------------------------------------------
     def _advance_serial(self, gens: int) -> None:

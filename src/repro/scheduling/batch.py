@@ -122,14 +122,14 @@ def _stages_into(instance: JobShopInstance, seqs, out, validate: bool):
 
 
 def _check_genes(genes, high: int) -> None:
-    """Raise ``IndexError`` unless every gene lies in ``[0, high)``.
+    """Raise ``IndexError`` unless every int64 gene lies in ``[0, high)``.
 
     The decoders below gather through ``xp.take_into``, which does not
-    check its indices, so the genes are checked once here.
+    check its indices, so the genes are checked once here, by one
+    reduction: read as unsigned, a negative gene is at least ``2**63``.
     """
     xp = _xp()
-    if genes.size and (int(xp.min(genes)) < 0
-                       or int(xp.max(genes)) >= high):
+    if genes.size and int(genes.astype(xp.uint64).max()) >= high:
         raise IndexError(f"gene values must lie in [0, {high})")
 
 
@@ -148,17 +148,17 @@ def _semi_active_scan(jobs, machines, ops, tables, release, n: int,
     The decode recurrence is sequential along the gene axis but
     independent across rows, so the scan runs as ``L`` vectorised steps of
     gather / max / add / scatter over flattened ``(rows, jobs)`` and
-    ``(rows, machines)`` state.  Its ``(L, rows)`` index and duration
-    tables are this thread's scratch, built column-major so that each step
-    reads a contiguous row.
+    ``(rows, machines)`` state.  Its ``(L, rows)`` index tables (one
+    buffer) and duration table are this thread's scratch, built
+    column-major so that each step reads a contiguous row.
     """
     xp = _xp()
     length, pop = jobs.shape
     k, size = tables.shape
     rows = k * pop
     base = xp.arange(rows, dtype=xp.int64).reshape(1, k, pop)
-    job_idx = scratch("scan.jobs", (length, k, pop), xp.int64)
-    mach_idx = scratch("scan.machines", (length, k, pop), xp.int64)
+    index = scratch("scan.index", (2, length, k, pop), xp.int64)
+    job_idx, mach_idx = index[0], index[1]
     dur_cols = scratch("scan.durations", (length, k, pop), xp.float64)
     if k == 1:
         xp.take_into(tables, ops, out=dur_cols.reshape(length, pop))
@@ -175,7 +175,9 @@ def _semi_active_scan(jobs, machines, ops, tables, release, n: int,
     mach_idx = mach_idx.reshape(length, rows)
     dur_cols = dur_cols.reshape(length, rows)
 
-    job_ready = xp.tile(xp.asarray(release), rows)          # (rows * n,)
+    job_ready = xp.empty((rows, n))
+    job_ready[...] = xp.asarray(release)
+    job_ready = xp.reshape(job_ready, (-1,))                # (rows * n,)
     mach_ready = xp.zeros(rows * m)                         # (rows * m,)
     for i in range(length):
         ji = job_idx[i]
@@ -203,17 +205,15 @@ def _operation_sequence_scan(instance: JobShopInstance, seqs, tables,
     of permutation-with-repetition genomes."""
     xp = _xp()
     pop, length = seqs.shape
-    stages = _stages_into(
-        instance, seqs, scratch("jobshop.stages", (pop, length), xp.int64),
-        validate)
+    # position-major stage, operation and machine of every gene
+    index = scratch("jobshop.index", (3, length, pop), xp.int64)
+    stages, ops, machines = index[0], index[1], index[2]
+    _stages_into(instance, seqs, stages.T, validate)
     _check_genes(seqs, instance.n_jobs)
     # a gene's operation is (job, stage): flat index job * n_stages + stage
-    ops = scratch("jobshop.ops", (length, pop), xp.int64)
     xp.multiply(seqs.T, instance.n_stages, out=ops)
-    ops += stages.T
-    machines = xp.take_into(
-        xp.asarray(instance.routing), ops,
-        out=scratch("jobshop.machines", (length, pop), xp.int64))
+    ops += stages
+    xp.take_into(xp.asarray(instance.routing), ops, out=machines)
     return _semi_active_scan(seqs.T, machines, ops, tables,
                              instance.release, instance.n_jobs,
                              instance.n_machines)
