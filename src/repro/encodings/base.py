@@ -16,7 +16,10 @@ instance:
   on (``permutation``, ``repetition``, ``real``, ``composite``).
 
 A :class:`Problem` pairs an encoding with a minimised objective; GA engines
-only ever see Problems, never raw instances.
+only ever see Problems, never raw instances.  :meth:`Problem.evaluate_many`
+is its one scoring body for a genome list or a chromosome matrix: the
+batch evaluator when the problem has one and the genomes stack, else
+genome by genome.
 """
 
 from __future__ import annotations
@@ -243,29 +246,24 @@ class Problem:
         return custom(row) if custom is not None else row
 
     def evaluate_batch(self, chromosomes: np.ndarray) -> np.ndarray:
-        """Objectives of a ``(pop_size, n_genes)`` chromosome matrix.
+        """Objectives of a ``(pop_size, n_genes)`` chromosome matrix."""
+        return self.evaluate_many(np.asarray(chromosomes))
 
-        Uses the encoding's vectorised decoder when available; otherwise
-        scores row by row (still correct, just not batched).  Rows are
-        un-stacked back to genomes for encodings with composite stacking.
+    def evaluate_many(self, genomes: Any) -> np.ndarray:
+        """Objectives of a genome list or a chromosome matrix.
+
+        One call of the batch evaluator when the problem has one and the
+        genomes stack; otherwise genome by genome, matrix rows un-stacked
+        back to genomes first (composite stacking).  An empty input
+        scores to an empty vector.
         """
-        batch = self.batch_evaluator()
-        if batch is not None:
-            return np.asarray(batch(chromosomes), dtype=float)
-        return np.array([self.evaluate(self.unstack_row(g))
-                         for g in np.asarray(chromosomes)], dtype=float)
-
-    def evaluate_many(self, genomes: list[Any]) -> np.ndarray:
-        """Vector of objective values; uses batched fast paths if available."""
         batch = self.batch_evaluator()
         if batch is not None:
             matrix = self.stack_genomes(genomes)
             if matrix is not None:
                 return np.asarray(batch(matrix), dtype=float)
-        if self.eval_cost == 0.0 and isinstance(self.objective, Makespan):
-            legacy = getattr(self.encoding, "fast_makespan_batch", None)
-            if legacy is not None:
-                return np.asarray(legacy(genomes), dtype=float)
+        if isinstance(genomes, np.ndarray):
+            genomes = [self.unstack_row(row) for row in genomes]
         return np.array([self.evaluate(g) for g in genomes], dtype=float)
 
     def objective_vector(self, genome: Any) -> tuple[float, ...]:

@@ -104,11 +104,6 @@ class OperationBasedEncoding:
     def _batch_completion(self, chromosomes: np.ndarray) -> np.ndarray:
         return batch_completion_operation_sequence(self.instance, chromosomes)
 
-    def fast_makespan_batch(self, genomes: list[np.ndarray]) -> np.ndarray:
-        if self.mode == "semi_active":
-            return self._batch_makespan(np.stack(genomes))
-        return np.array([self.fast_makespan(g) for g in genomes], dtype=float)
-
     def _sequence_priorities(self, genome: np.ndarray) -> np.ndarray:
         """Positions in the chromosome become G&T priorities.
 

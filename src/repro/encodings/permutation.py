@@ -53,9 +53,6 @@ class FlowShopPermutationEncoding:
     def batch_completion(self, chromosomes: np.ndarray) -> np.ndarray:
         return batch_completion_permutation(self.instance, chromosomes)
 
-    def fast_makespan_batch(self, genomes: list[np.ndarray]) -> np.ndarray:
-        return self.batch_makespan(np.stack(genomes))
-
 
 class OpenShopPermutationEncoding:
     """Permutation with repetitions + greedy LPT decoder [32].

@@ -60,9 +60,6 @@ class RandomKeysFlowShopEncoding:
         perms = np.argsort(keys, axis=1, kind="stable").astype(np.int64)
         return batch_completion_permutation(self.instance, perms)
 
-    def fast_makespan_batch(self, genomes: list[np.ndarray]) -> np.ndarray:
-        return self.batch_makespan(np.stack(genomes))
-
 
 class RandomKeysJobShopEncoding:
     """Random keys as Giffler-Thompson priorities (one key per operation)."""

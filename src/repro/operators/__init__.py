@@ -1,7 +1,8 @@
 """Genetic operators: selection, crossover, mutation, repair."""
 
-from .selection import (ElitistRouletteSelection, RandomSelection,
-                        RankSelection, RouletteWheelSelection, Selection,
+from .selection import (ElitistRouletteSelection, IndexSelection,
+                        RandomSelection, RankSelection,
+                        RouletteWheelSelection, Selection,
                         StochasticUniversalSampling, TournamentSelection)
 from .crossover import (ArithmeticCrossover, CompositeCrossover, Crossover,
                         CycleCrossover, JobBasedCrossover, KernelCrossover,
@@ -18,16 +19,16 @@ from .mutation import (AssignmentMutation, CompositeMutation,
                        SwapMutation,
                        default_mutation_for)
 from .gt_crossover import GTThreeParentCrossover
-from .repair import is_permutation, is_repetition_of, repair_to_multiset
+from .repair import is_permutation, is_repetition_of
 from .batch import (batch_crossover_for, batch_mutation_for,
                     batch_selection_for, register_batch_crossover,
                     register_batch_mutation, register_batch_selection,
                     supported_batch_operators)
 
 __all__ = [
-    "Selection", "RouletteWheelSelection", "StochasticUniversalSampling",
-    "TournamentSelection", "ElitistRouletteSelection", "RandomSelection",
-    "RankSelection",
+    "Selection", "IndexSelection", "RouletteWheelSelection",
+    "StochasticUniversalSampling", "TournamentSelection",
+    "ElitistRouletteSelection", "RandomSelection", "RankSelection",
     "Crossover", "KernelCrossover", "NPointCrossover", "UniformCrossover",
     "ParameterizedUniformCrossover", "ArithmeticCrossover", "PMXCrossover",
     "OrderCrossover", "LinearOrderCrossover", "CycleCrossover",
@@ -40,7 +41,7 @@ __all__ = [
     "CompositeMutation",
     "default_mutation_for",
     "GTThreeParentCrossover",
-    "repair_to_multiset", "is_permutation", "is_repetition_of",
+    "is_permutation", "is_repetition_of",
     "batch_selection_for", "batch_crossover_for", "batch_mutation_for",
     "register_batch_selection", "register_batch_crossover",
     "register_batch_mutation", "supported_batch_operators",

@@ -27,12 +27,14 @@ Three conformance contracts hold throughout (pinned by
   kernel on a one-row block, after a per-pair draw of the same cut
   points / masks (:class:`~repro.operators.crossover.KernelCrossover`);
   the tests pin each against a transcription of its former scalar loop,
-  and ``batch_repair_to_multiset`` against the scalar repair;
-* **selection stream equality** -- the batch selections consume the RNG
-  with exactly the same calls as their scalar twins and return the same
-  choices (as index arrays instead of ``Individual`` lists), which is
-  what makes the array substrate's rate-0 generations *exactly* equal to
-  the per-pair loop's under a shared RNG.
+  and ``batch_repair_to_multiset`` against the one-genome repair loop;
+* **selection stream equality** -- a built-in selection *is* its index
+  twin here on one population
+  (:class:`~repro.operators.selection.IndexSelection`), so both paths
+  make the same RNG calls and choose the same members; the tests pin
+  each twin against its former scalar loop.  This is what makes the
+  array substrate's rate-0 generations *exactly* equal to the per-pair
+  loop's under a shared RNG.
 
 The array substrate's *parameter drawing* is vectorised (one call for
 all rows), so it is distribution-equivalent but not stream-identical to
@@ -138,12 +140,14 @@ def _value_range(A: np.ndarray, B: np.ndarray) -> int:
 
 def batch_repair_to_multiset(children: np.ndarray, counts: np.ndarray,
                              donors: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`~repro.operators.repair.repair_to_multiset`.
+    """Rewrite each row so value v appears ``counts[row, v]`` times.
 
+    Scanning left to right, a row keeps each gene still within its
+    value's quota and rewrites the surplus with the missing values.
     ``counts`` is ``(rows, n_values)`` -- the target multiset per row;
-    ``donors`` supplies missing values in donor order, exactly like the
-    scalar repair, and values a donor row cannot cover (parents with
-    different multisets) follow in ascending order, as they do there.
+    ``donors`` supplies the missing values in donor order, and values a
+    donor row cannot cover (parents with different multisets) follow in
+    ascending order (:mod:`repro.operators.repair`).
     """
     xp = _xp()
     m, n = children.shape
@@ -763,9 +767,9 @@ def _batch_composite_mutation(op: CompositeMutation, X: Array,
 
 # -- batch selections ------------------------------------------------------------
 #
-# Contract: identical RNG calls to the scalar operator, returning the
-# chosen *indices* instead of Individual references.  This is what makes
-# rate-0 array generations exactly reproduce object generations.
+# Each twin maps ``(fitness, objectives, k, rng)`` to the chosen
+# indices.  The built-in selections' calls run these twins
+# (IndexSelection), so per-pair and array generations select alike.
 
 def register_batch_selection(scalar_cls: type):
     """Register ``fn(op, fitness, objectives, k, rng) -> idx`` as twin."""
@@ -793,8 +797,8 @@ def _batch_sus(op, fitness, objectives, k, rng) -> np.ndarray:
     pointers = start + xp.arange(k, dtype=xp.int64) / k
     idx = xp.searchsorted(cum, pointers, side="right")
     idx = xp.clip(idx, 0, fitness.size - 1)
-    # the scalar twin shuffles a Python list of chosen individuals; use a
-    # list here too so the Fisher-Yates draws (and permutation) match
+    # shuffle a Python list, as the scalar loop shuffled its list of
+    # chosen individuals, so the Fisher-Yates draws (and permutation) match
     chosen = [int(i) for i in idx]
     rng.shuffle(chosen)
     return xp.asarray(chosen, dtype=xp.int64)
@@ -817,8 +821,7 @@ def _batch_elitist_roulette(op: ElitistRouletteSelection, fitness,
     xp = _xp()
     n_elite = min(k, int(round(op.elite_fraction * k)))
     elites = xp.stable_argsort(objectives)[:n_elite]
-    rest = _batch_roulette(op._roulette, fitness, objectives, k - n_elite,
-                           rng)
+    rest = _batch_roulette(op, fitness, objectives, k - n_elite, rng)
     return xp.concatenate([elites.astype(xp.int64), rest])
 
 

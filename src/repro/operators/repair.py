@@ -7,13 +7,18 @@ permutations (or permutations with repetition) generally produce strings
 with wrong gene multiplicities; the canonical fix keeps each position that
 is still legal and rewrites surplus genes with the missing ones in the
 order they appear in the donor parent.
+
+That rule runs row-wise, inside the repairing crossovers' kernels, as
+:func:`repro.operators.batch.batch_repair_to_multiset`; the one-genome
+loop it replaced is the tests' oracle (``tests/scalar_reference.py``).
+This module keeps the validity predicates the repair restores.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["repair_to_multiset", "is_permutation", "is_repetition_of"]
+__all__ = ["is_permutation", "is_repetition_of"]
 
 
 def is_permutation(genome: np.ndarray) -> bool:
@@ -29,43 +34,3 @@ def is_repetition_of(genome: np.ndarray, counts: np.ndarray) -> bool:
         return False
     actual = np.bincount(g, minlength=len(counts))
     return bool(np.array_equal(actual, counts))
-
-
-def repair_to_multiset(child: np.ndarray, counts: np.ndarray,
-                       donor: np.ndarray | None = None) -> np.ndarray:
-    """Rewrite ``child`` so value v appears exactly ``counts[v]`` times.
-
-    Scans left to right; occurrences beyond a value's quota are replaced by
-    missing values.  Missing values are issued in the order they appear in
-    ``donor`` (a parent) when given, otherwise in ascending value order --
-    the donor version preserves more parental structure and is what the
-    n-point-with-repair crossovers use.
-    """
-    child = np.asarray(child, dtype=np.int64).copy()
-    counts = np.asarray(counts, dtype=np.int64)
-    seen = np.zeros_like(counts)
-    surplus_positions: list[int] = []
-    for pos, v in enumerate(child):
-        if v < 0 or v >= counts.size or seen[v] >= counts[v]:
-            surplus_positions.append(pos)
-        else:
-            seen[v] += 1
-    missing_needed = counts - seen
-    missing: list[int] = []
-    if donor is not None:
-        remaining = missing_needed.copy()
-        for v in np.asarray(donor, dtype=np.int64):
-            if 0 <= v < counts.size and remaining[v] > 0:
-                missing.append(int(v))
-                remaining[v] -= 1
-        # donor may not cover everything if it has a different multiset
-        for v in range(counts.size):
-            missing.extend([v] * int(remaining[v]))
-    else:
-        for v in range(counts.size):
-            missing.extend([v] * int(missing_needed[v]))
-    if len(missing) != len(surplus_positions):  # pragma: no cover - invariant
-        raise AssertionError("repair bookkeeping mismatch")
-    for pos, v in zip(surplus_positions, missing):
-        child[pos] = v
-    return child

@@ -7,11 +7,18 @@ so on" (survey, Section III.A, citing Jebari & Madiafi [13]).
 Selections operate on an evaluated :class:`~repro.core.population.
 Population` (individuals carry maximised ``fitness``) and return a list of
 *references* to selected parents; engines copy genomes before variation.
+
+Each built-in selection is an :class:`IndexSelection`: its class holds
+only its parameters, and a call runs the index twin its class registers
+in :mod:`repro.operators.batch` on the population's fitness and
+objective vectors -- the code the array generation runs -- and returns
+the members at the chosen indices.  The scalar loops the twins replaced
+are the tests' oracles (``tests/scalar_reference.py``).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -20,6 +27,7 @@ from ..core.population import Population
 
 __all__ = [
     "Selection",
+    "IndexSelection",
     "RouletteWheelSelection",
     "StochasticUniversalSampling",
     "TournamentSelection",
@@ -51,34 +59,34 @@ def _normalised_probs(fits: np.ndarray) -> np.ndarray:
     return fits / total
 
 
-class RouletteWheelSelection:
-    """Fitness-proportionate sampling with replacement."""
+class IndexSelection:
+    """A selection that is its batch twin on one population.
+
+    The twin maps the fitness and objective vectors to the chosen
+    indices with exactly its RNG calls; the call returns the members at
+    those indices, in order.
+    """
 
     def __call__(self, population: Population, k: int,
                  rng: np.random.Generator) -> list[Individual]:
-        probs = _normalised_probs(_fitness_vector(population))
-        idx = rng.choice(len(population), size=k, replace=True, p=probs)
+        from .batch import batch_selection_for
+        idx = batch_selection_for(self)(_fitness_vector(population),
+                                        population.objectives(), k, rng)
         return [population[int(i)] for i in idx]
 
 
-class StochasticUniversalSampling:
-    """SUS: one spin, ``k`` equally spaced pointers; lower variance than RWS."""
-
-    def __call__(self, population: Population, k: int,
-                 rng: np.random.Generator) -> list[Individual]:
-        probs = _normalised_probs(_fitness_vector(population))
-        cum = np.cumsum(probs)
-        start = rng.random() / k
-        pointers = start + np.arange(k) / k
-        idx = np.searchsorted(cum, pointers, side="right")
-        idx = np.clip(idx, 0, len(population) - 1)
-        chosen = [population[int(i)] for i in idx]
-        # SUS preserves expected counts; shuffle so pairing is unbiased
-        rng.shuffle(chosen)
-        return chosen
+class RouletteWheelSelection(IndexSelection):
+    """Fitness-proportionate sampling with replacement."""
 
 
-class TournamentSelection:
+class StochasticUniversalSampling(IndexSelection):
+    """SUS: one spin, ``k`` equally spaced pointers; lower variance than RWS.
+
+    The chosen members are shuffled so pairing is unbiased.
+    """
+
+
+class TournamentSelection(IndexSelection):
     """k-way tournament (Defersha & Chen [35][36]; Zajicek [25] uses k=2)."""
 
     def __init__(self, size: int = 2):
@@ -86,52 +94,19 @@ class TournamentSelection:
             raise ValueError("tournament size must be >= 1")
         self.size = size
 
-    def __call__(self, population: Population, k: int,
-                 rng: np.random.Generator) -> list[Individual]:
-        fits = _fitness_vector(population)
-        n = len(population)
-        winners = []
-        for _ in range(k):
-            entrants = rng.integers(0, n, size=self.size)
-            best = entrants[np.argmax(fits[entrants])]
-            winners.append(population[int(best)])
-        return winners
 
-
-class ElitistRouletteSelection:
+class ElitistRouletteSelection(IndexSelection):
     """Mui et al. [17]: elite fraction passes straight, rest via roulette."""
 
     def __init__(self, elite_fraction: float = 0.1):
         if not 0 <= elite_fraction <= 1:
             raise ValueError("elite_fraction must be in [0, 1]")
         self.elite_fraction = elite_fraction
-        self._roulette = RouletteWheelSelection()
-
-    def __call__(self, population: Population, k: int,
-                 rng: np.random.Generator) -> list[Individual]:
-        n_elite = min(k, int(round(self.elite_fraction * k)))
-        elites = population.top(n_elite)
-        rest = self._roulette(population, k - n_elite, rng)
-        return list(elites) + rest
 
 
-class RandomSelection:
+class RandomSelection(IndexSelection):
     """Uniform random parents (Lin et al. [21] pair THX with random selection)."""
 
-    def __call__(self, population: Population, k: int,
-                 rng: np.random.Generator) -> list[Individual]:
-        idx = rng.integers(0, len(population), size=k)
-        return [population[int(i)] for i in idx]
 
-
-class RankSelection:
+class RankSelection(IndexSelection):
     """Linear-rank-proportionate sampling (scale-free roulette)."""
-
-    def __call__(self, population: Population, k: int,
-                 rng: np.random.Generator) -> list[Individual]:
-        fits = _fitness_vector(population)
-        order = np.argsort(np.argsort(fits))  # 0 = worst
-        weights = (order + 1).astype(float)
-        probs = weights / weights.sum()
-        idx = rng.choice(len(population), size=k, replace=True, p=probs)
-        return [population[int(i)] for i in idx]

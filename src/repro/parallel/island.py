@@ -303,14 +303,14 @@ class IslandGA:
                                    if isl.population is not None))
 
     def _record_global(self) -> None:
-        # the recorder reads objectives only: concatenate the islands'
-        # vectors, not their members or genome matrices
+        # the recorder reads objectives only: concatenate the active
+        # islands' vectors, not their members or genome matrices (a merged
+        # island's best members already live on in its target)
+        active = [self.islands[i] for i in self._active]
         if self.substrate == "array":
-            parts = [isl.arrays.objectives for isl in self.islands
-                     if isl.arrays is not None]
+            parts = [isl.arrays.objectives for isl in active]
         else:
-            parts = [isl.population.objectives() for isl in self.islands
-                     if isl.population is not None]
+            parts = [isl.population.objectives() for isl in active]
         self.global_history.record(self.state.generation,
                                    _xp().concatenate(parts),
                                    self.state.evaluations,

@@ -44,17 +44,15 @@ class MigrationPolicy:
         ``"best"`` or ``"random"``.
     replacement:
         ``"random"`` or ``"worst"``.
-    copy:
-        if True emigrants are copied (the usual pollination model); if
-        False they are conceptually moved -- we still copy, matching the
-        dominant convention in the surveyed papers.
+
+    Emigrants are always copied (the usual pollination model, the
+    dominant convention in the surveyed papers).
     """
 
     interval: int = 5
     rate: int = 1
     emigrant: str = "best"
     replacement: str = "worst"
-    copy: bool = True
 
     def __post_init__(self) -> None:
         if self.interval < 1:
@@ -119,7 +117,7 @@ def integrate_immigrants(population: Population,
     k = min(len(immigrants), len(population))
     targets = replacement_targets(population.objectives(), k, policy, rng)
     for ind, pos in zip(immigrants, targets):
-        population[int(pos)] = ind.copy() if policy.copy else ind
+        population[int(pos)] = ind.copy()
 
 
 # -- array-substrate twins -------------------------------------------------------

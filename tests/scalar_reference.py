@@ -1,9 +1,12 @@
 """Transcriptions of the per-candidate scalar code the kernels replaced.
 
 The scalar crossovers and mutations that have a batch kernel are now
-that kernel on a one-row block.  These are the loops they replaced,
-kept verbatim as the tests' oracles: every operator call and every
-per-pair generation must equal them in results and in RNG state.
+that kernel on a one-row block, and each built-in selection is its index
+twin on one population.  These are the loops they replaced, kept
+verbatim as the tests' oracles: every operator call and every per-pair
+generation must equal them in results and in RNG state.
+``repair_to_multiset`` is the one-genome repair that
+``batch_repair_to_multiset`` replaced.
 
 ``per_pair()`` runs the engines built inside it on their per-pair path
 (``SimpleGA.make_offspring``, ``CellularGA._breed_cell``) whatever their
@@ -33,7 +36,13 @@ from repro.operators import (ArithmeticCrossover, AssignmentMutation,
                              JobBasedCrossover, NPointCrossover,
                              OrderCrossover, ParameterizedUniformCrossover,
                              PMXCrossover, ShiftMutation, SwapMutation,
-                             UniformCrossover, repair_to_multiset)
+                             UniformCrossover)
+from repro.operators.selection import (ElitistRouletteSelection,
+                                       RandomSelection, RankSelection,
+                                       RouletteWheelSelection,
+                                       StochasticUniversalSampling,
+                                       TournamentSelection, _fitness_vector,
+                                       _normalised_probs)
 from repro.heuristics.constructive import _stage_durations, order_to_genome
 from repro.scheduling import (FlexibleFlowShopInstance, FlowShopInstance,
                               decode_hybrid_flowshop, flowshop_completion)
@@ -41,6 +50,48 @@ from repro.scheduling import (FlexibleFlowShopInstance, FlowShopInstance,
 
 def _counts(parent):
     return np.bincount(np.asarray(parent, dtype=np.int64))
+
+
+# -- repair -------------------------------------------------------------------
+
+def repair_to_multiset(child: np.ndarray, counts: np.ndarray,
+                       donor: np.ndarray | None = None) -> np.ndarray:
+    """Rewrite ``child`` so value v appears exactly ``counts[v]`` times.
+
+    Scans left to right; occurrences beyond a value's quota are replaced by
+    missing values.  Missing values are issued in the order they appear in
+    ``donor`` (a parent) when given, otherwise in ascending value order --
+    the donor version preserves more parental structure and is what the
+    n-point-with-repair crossovers use.
+    """
+    child = np.asarray(child, dtype=np.int64).copy()
+    counts = np.asarray(counts, dtype=np.int64)
+    seen = np.zeros_like(counts)
+    surplus_positions: list[int] = []
+    for pos, v in enumerate(child):
+        if v < 0 or v >= counts.size or seen[v] >= counts[v]:
+            surplus_positions.append(pos)
+        else:
+            seen[v] += 1
+    missing_needed = counts - seen
+    missing: list[int] = []
+    if donor is not None:
+        remaining = missing_needed.copy()
+        for v in np.asarray(donor, dtype=np.int64):
+            if 0 <= v < counts.size and remaining[v] > 0:
+                missing.append(int(v))
+                remaining[v] -= 1
+        # donor may not cover everything if it has a different multiset
+        for v in range(counts.size):
+            missing.extend([v] * int(remaining[v]))
+    else:
+        for v in range(counts.size):
+            missing.extend([v] * int(missing_needed[v]))
+    if len(missing) != len(surplus_positions):  # pragma: no cover - invariant
+        raise AssertionError("repair bookkeeping mismatch")
+    for pos, v in zip(surplus_positions, missing):
+        child[pos] = v
+    return child
 
 
 # -- crossovers ---------------------------------------------------------------
@@ -249,7 +300,66 @@ def composite_mutation(op, genome, rng):
     return tuple(out)
 
 
+# -- selections ---------------------------------------------------------------
+
+def roulette(op, population, k, rng):
+    probs = _normalised_probs(_fitness_vector(population))
+    idx = rng.choice(len(population), size=k, replace=True, p=probs)
+    return [population[int(i)] for i in idx]
+
+
+def sus(op, population, k, rng):
+    probs = _normalised_probs(_fitness_vector(population))
+    cum = np.cumsum(probs)
+    start = rng.random() / k
+    pointers = start + np.arange(k) / k
+    idx = np.searchsorted(cum, pointers, side="right")
+    idx = np.clip(idx, 0, len(population) - 1)
+    chosen = [population[int(i)] for i in idx]
+    # SUS preserves expected counts; shuffle so pairing is unbiased
+    rng.shuffle(chosen)
+    return chosen
+
+
+def tournament(op, population, k, rng):
+    fits = _fitness_vector(population)
+    n = len(population)
+    winners = []
+    for _ in range(k):
+        entrants = rng.integers(0, n, size=op.size)
+        best = entrants[np.argmax(fits[entrants])]
+        winners.append(population[int(best)])
+    return winners
+
+
+def elitist_roulette(op, population, k, rng):
+    n_elite = min(k, int(round(op.elite_fraction * k)))
+    elites = population.top(n_elite)
+    rest = roulette(op, population, k - n_elite, rng)
+    return list(elites) + rest
+
+
+def random_selection(op, population, k, rng):
+    idx = rng.integers(0, len(population), size=k)
+    return [population[int(i)] for i in idx]
+
+
+def rank(op, population, k, rng):
+    fits = _fitness_vector(population)
+    order = np.argsort(np.argsort(fits))  # 0 = worst
+    weights = (order + 1).astype(float)
+    probs = weights / weights.sum()
+    idx = rng.choice(len(population), size=k, replace=True, p=probs)
+    return [population[int(i)] for i in idx]
+
+
 TRANSCRIBED = {
+    RouletteWheelSelection: roulette,
+    StochasticUniversalSampling: sus,
+    TournamentSelection: tournament,
+    ElitistRouletteSelection: elitist_roulette,
+    RandomSelection: random_selection,
+    RankSelection: rank,
     NPointCrossover: npoint,
     UniformCrossover: uniform,
     ParameterizedUniformCrossover: param_uniform,
@@ -297,7 +407,8 @@ def make_offspring(ga, population, count):
     apply_fitness(population.members, cfg.fitness_transform)
     n_immigrants = int(round(cfg.immigration_rate * count))
     n_bred = count - n_immigrants
-    parents = cfg.selection(population, n_bred + (n_bred % 2), ga.rng)
+    parents = reference(cfg.selection)(population, n_bred + (n_bred % 2),
+                                       ga.rng)
     offspring = []
     for i in range(0, len(parents) - 1, 2):
         pa, pb = parents[i], parents[i + 1]

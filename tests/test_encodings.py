@@ -29,7 +29,7 @@ class TestFlowShopPermutation:
     def test_fast_paths_consistent(self, small_flowshop, rng):
         enc = FlowShopPermutationEncoding(small_flowshop)
         genomes = [enc.random_genome(rng) for _ in range(8)]
-        batch = enc.fast_makespan_batch(genomes)
+        batch = Problem(enc).evaluate_many(genomes)
         for g, expected in zip(genomes, batch):
             assert enc.fast_makespan(g) == pytest.approx(expected)
             assert enc.decode(g).makespan == pytest.approx(expected)
@@ -99,7 +99,7 @@ class TestRandomKeys:
     def test_batch(self, small_flowshop, rng):
         enc = RandomKeysFlowShopEncoding(small_flowshop)
         genomes = [enc.random_genome(rng) for _ in range(6)]
-        batch = enc.fast_makespan_batch(genomes)
+        batch = Problem(enc).evaluate_many(genomes)
         singles = [enc.fast_makespan(g) for g in genomes]
         assert np.allclose(batch, singles)
 
@@ -173,6 +173,39 @@ class TestProblem:
         gs = [problem.random_genome(rng) for _ in range(5)]
         out = problem.evaluate_many(gs)
         assert out.shape == (5,)
+
+    @pytest.mark.parametrize("make", [
+        lambda: FlowShopPermutationEncoding(get_instance("ta-fs-20x5-shaped")),
+        lambda: RandomKeysFlowShopEncoding(get_instance("ta-fs-20x5-shaped")),
+        lambda: OperationBasedEncoding(get_instance("ft06")),
+        lambda: RandomKeysJobShopEncoding(get_instance("ft06"))],
+        ids=["flow-shop", "random-keys-flow-shop", "job-shop",
+             "random-keys-job-shop"])
+    def test_evaluate_many_of_nothing_is_empty(self, make):
+        out = Problem(make()).evaluate_many([])
+        assert out.dtype == np.float64 and out.shape == (0,)
+
+    @pytest.mark.parametrize("case", ["flow-shop", "job-shop",
+                                      "hfs-composite-eval-cost"])
+    def test_matrix_list_and_loop_score_alike(self, case, rng):
+        if case == "flow-shop":
+            problem = Problem(FlowShopPermutationEncoding(
+                get_instance("ta-fs-20x5-shaped")))
+        elif case == "job-shop":
+            problem = Problem(OperationBasedEncoding(get_instance("ft06")))
+        else:
+            # composite genomes with an eval cost: no batch decoder, so
+            # matrix rows are un-stacked and scored one by one
+            problem = Problem(HybridFlowShopEncoding(
+                get_instance("hfs-10x3x2-shaped")), eval_cost=1e-6)
+            assert problem.batch_evaluator() is None
+        genomes = [problem.random_genome(rng) for _ in range(7)]
+        matrix = problem.stack_genomes(genomes)
+        assert matrix is not None and matrix.ndim == 2
+        loop = np.array([problem.evaluate(g) for g in genomes])
+        assert np.array_equal(problem.evaluate_many(matrix), loop)
+        assert np.array_equal(problem.evaluate_batch(matrix), loop)
+        assert np.array_equal(problem.evaluate_many(genomes), loop)
 
     def test_non_makespan_objective_decodes(self, small_flowshop, rng):
         problem = Problem(FlowShopPermutationEncoding(small_flowshop),

@@ -103,13 +103,14 @@ def test_a_full_block_is_reduced_during_the_run(ft06_problem):
 
 
 class RecordingIslandGA(IslandGA):
-    """Collects the merged population's ``stats()`` at every global
-    record, as the recorder used to compute them."""
+    """Collects the active islands' merged ``stats()`` at every global
+    record, as the recorder used to compute them.  An island that
+    ``merge_on_stagnation`` retired is not read: its best members live on
+    in the island it merged into."""
 
     def _record_global(self):
-        merged = Population([member for isl in self.islands
-                             if isl.population is not None
-                             for member in isl.population])
+        merged = Population([member for i in self._active
+                             for member in self.islands[i].population])
         self.expected.append((self.state.generation, self.state.evaluations,
                               merged.stats()))
         super()._record_global()
@@ -132,6 +133,8 @@ def test_island_global_history_equals_merged_stats(substrate, merge):
     if merge is not None:
         assert records[0].extra["n_islands"] == 4
         assert records[-1].extra["n_islands"] == 1
+        # the one island left: 10 members, not the 40 of all four
+        assert ga.expected[-1][2].size == 10
 
 
 def test_generations_of_different_sizes_reduce_in_runs():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scalar_reference import repair_to_multiset
 from repro.core.fitness import ReciprocalFitness, apply_fitness
 from repro.core.individual import Individual
 from repro.core.population import Population
@@ -16,8 +17,7 @@ from repro.operators import (AssignmentMutation, CompositeMutation,
                              ScrambleMutation, ShiftMutation,
                              StochasticUniversalSampling, SwapMutation,
                              TournamentSelection, default_mutation_for,
-                             is_permutation, is_repetition_of,
-                             repair_to_multiset)
+                             is_permutation, is_repetition_of)
 
 PERM_MUTATIONS = [SwapMutation(), SwapMutation(pairs=3), ShiftMutation(),
                   InversionMutation(), ScrambleMutation()]
@@ -206,7 +206,8 @@ def test_tournament_size_validation():
 
 
 # ---------------------------------------------------------------------------
-# repair
+# repair: the one-genome oracle that ``batch_repair_to_multiset`` is held
+# to in test_substrate.py
 # ---------------------------------------------------------------------------
 
 class TestRepair:

@@ -8,13 +8,13 @@ generation per input"):
    bit-for-bit given the same cuts/masks;
 2. **closure** -- every batch crossover/mutation preserves row multisets
    (hence permutation validity) like the scalar operators do;
-3. **engine equivalence** -- batch selections consume the RNG exactly
-   like the scalar operators, so whole array generations are *exactly*
-   equal to the per-pair loop (``scalar_reference.per_pair``) at the
-   crossover/mutation rate extremes under a shared seed, and quality
-   stays on par at intermediate rates
-   (per-draw bit-identity there is impossible: batching reorders the
-   stream).
+3. **engine equivalence** -- a selection call is its batch twin, and both
+   consume the RNG exactly like the scalar loops they replaced
+   (transcribed in ``scalar_reference``), so whole array generations are
+   *exactly* equal to the per-pair loop (``scalar_reference.per_pair``)
+   at the crossover/mutation rate extremes under a shared seed, and
+   quality stays on par at intermediate rates (per-draw bit-identity
+   there is impossible: batching reorders the stream).
 """
 
 import numpy as np
@@ -42,9 +42,9 @@ from repro.operators import (ArithmeticCrossover, AssignmentMutation,
                              StochasticUniversalSampling, SwapMutation,
                              TournamentSelection, UniformCrossover,
                              batch_crossover_for, batch_mutation_for,
-                             batch_selection_for, register_batch_mutation,
-                             repair_to_multiset)
-from repro.operators.batch import (batch_repair_to_multiset,
+                             register_batch_mutation)
+from repro.operators.batch import (_BATCH_SELECTIONS,
+                                   batch_repair_to_multiset,
                                    inversion_kernel, jox_kernel,
                                    npoint_kernel, ox_kernel, pmx_kernel,
                                    row_bincount, row_occurrence,
@@ -176,7 +176,7 @@ class TestKernelEquality:
         counts = row_bincount(A, 4)
         batch = batch_repair_to_multiset(child, counts, B)
         for k in range(12):
-            scalar = repair_to_multiset(child[k], counts[k], donor=B[k])
+            scalar = scalar_reference.repair_to_multiset(child[k], counts[k], donor=B[k])
             assert np.array_equal(batch[k], scalar)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -190,7 +190,7 @@ class TestKernelEquality:
         counts = row_bincount(A, 4)
         batch = batch_repair_to_multiset(child, counts, B)
         for k in range(12):
-            scalar = repair_to_multiset(child[k], counts[k], donor=B[k])
+            scalar = scalar_reference.repair_to_multiset(child[k], counts[k], donor=B[k])
             assert np.array_equal(batch[k], scalar)
 
     def test_npoint_kernel_matches_manual_mask(self):
@@ -645,28 +645,43 @@ SELECTIONS = [RouletteWheelSelection(), StochasticUniversalSampling(),
 
 
 class TestSelectionStreamEquality:
-    @pytest.mark.parametrize("sel", SELECTIONS,
-                             ids=lambda s: type(s).__name__)
-    @pytest.mark.parametrize("k", [0, 5, 20])
-    def test_batch_indices_match_scalar_choices(self, sel, k, ft06_problem):
-        if k == 0 and isinstance(sel, StochasticUniversalSampling):
-            pytest.skip("SUS divides by k")
+    """Each selection call is its index twin; both must still equal the
+    scalar loop it replaced, in members and in RNG state."""
+
+    @staticmethod
+    def population(problem):
         rng = np.random.default_rng(7)
         pop = Population(
-            repro.Individual(ft06_problem.random_genome(rng))
-            for _ in range(12))
+            repro.Individual(problem.random_genome(rng)) for _ in range(12))
         for i, ind in enumerate(pop):
             ind.objective = float(50 + (i % 4))   # ties included
             ind.fitness = float(10 - (i % 4))
-        fits = np.array([ind.fitness for ind in pop])
-        objs = pop.objectives()
-        scalar = sel(pop, k, np.random.default_rng(99))
-        idx = batch_selection_for(sel)(fits, objs, k,
-                                       np.random.default_rng(99))
-        assert len(scalar) == len(idx) == k
-        members = list(pop)
-        for ind, i in zip(scalar, idx):
-            assert ind is members[int(i)]
+        return pop
+
+    @pytest.mark.parametrize("sel", SELECTIONS,
+                             ids=lambda s: type(s).__name__)
+    @pytest.mark.parametrize("k", [0, 5, 20])
+    def test_selection_matches_scalar_oracle(self, sel, k, ft06_problem):
+        pop = self.population(ft06_problem)
+        oracle = scalar_reference.reference(sel)
+        got_rng, want_rng = (np.random.default_rng(99),
+                             np.random.default_rng(99))
+        if k == 0 and isinstance(sel, StochasticUniversalSampling):
+            # SUS spaces its pointers 1/k apart: both refuse k = 0
+            for fn, rng in ((sel, got_rng), (oracle, want_rng)):
+                with pytest.raises(ZeroDivisionError):
+                    fn(pop, k, rng)
+        else:
+            got, want = sel(pop, k, got_rng), oracle(pop, k, want_rng)
+            assert len(got) == len(want) == k
+            assert all(a is b for a, b in zip(got, want))
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_every_built_in_selection_is_transcribed(self):
+        built_in = {cls for cls in _BATCH_SELECTIONS
+                    if cls.__module__.startswith("repro.")}
+        assert built_in == {type(sel) for sel in SELECTIONS}
+        assert built_in <= set(scalar_reference.TRANSCRIBED)
 
 
 # -- layer 3b: rate-extreme exact equivalence ------------------------------------
