@@ -13,7 +13,8 @@
 
 :class:`SimpleGA` implements exactly that loop over a
 :class:`~repro.encodings.base.Problem`.  The evaluation step is pluggable
-(an ``evaluator`` callable mapping a list of genomes to objective values),
+(an ``evaluator`` callable mapping a chromosome matrix or a genome list
+to objective values),
 which is the single seam the master-slave model replaces with a parallel
 pool (Table III) while everything else stays identical -- the survey's
 observation that master-slave parallelism "does not affect the behavior of
@@ -195,9 +196,12 @@ class SimpleGA:
     seed:
         root seed (int) or an existing Generator.
     evaluator:
-        optional replacement for the evaluation step; receives the list of
-        genomes to score and returns objectives.  This is the master-slave
-        seam -- see :mod:`repro.parallel.master_slave`.
+        optional replacement for the evaluation step; receives the
+        genomes to score -- one chromosome matrix whenever they stack
+        (rows of composite genomes split with ``problem.unstack_row``),
+        else the genome list -- and returns their objectives in order.
+        This is the master-slave seam -- see
+        :mod:`repro.parallel.master_slave`.
     observers:
         extra observers beyond the built-in history recorder; :meth:`run`
         notifies them.
@@ -217,13 +221,6 @@ class SimpleGA:
         self.termination = termination or MaxGenerations(100)
         self.rng = make_rng(seed)
         self.evaluator = evaluator or problem.evaluate_many
-        # Batch seam: score the whole to-do set as one chromosome matrix.
-        # Custom evaluators opt in by exposing ``evaluate_batch``; the
-        # default path asks the problem for its vectorised decoder.
-        if evaluator is None:
-            self._batch_evaluate = problem.batch_evaluator()
-        else:
-            self._batch_evaluate = getattr(evaluator, "evaluate_batch", None)
         self.history = HistoryRecorder()
         self.observers: list[Observer] = [self.history, *observers]
         self.state = TerminationState()
@@ -288,52 +285,34 @@ class SimpleGA:
 
     @property
     def uses_batch_path(self) -> bool:
-        """Whether evaluation is vectorised (matrix decode), not per genome.
+        """Whether the problem decodes a chromosome matrix in one call.
 
-        False when the problem has no batch decoder even if the evaluator
-        accepts matrices -- executors still ship compact chromosome
-        matrices then, but each worker decodes row by row.
+        The evaluator receives a matrix whenever the genomes stack; this
+        reports whether the problem's decode of it is vectorised.
         """
-        return (self._batch_evaluate is not None
-                and self.problem.batch_evaluator() is not None)
+        return self.problem.batch_evaluator() is not None
 
     def _evaluate(self, individuals: Sequence[Individual]) -> None:
         """Score unevaluated individuals (lines 7 of Tables II/III).
 
-        Prefers the vectorised batch path: stack the pending genomes into
-        one ``(pop, n_genes)`` matrix (via the problem's stacking seam, so
+        The pending genomes go to the evaluator as one ``(pop, n_genes)``
+        matrix when they stack (via the problem's stacking seam, so
         composite genomes such as the two-part FJSP chromosome flatten
-        into rows too) and decode the whole population per call.  Ragged
-        genomes fall back to the per-genome evaluator unchanged.
+        into rows too), else as the genome list.
         """
         todo = [ind for ind in individuals if not ind.evaluated]
         if not todo:
             return
         genomes = [ind.genome for ind in todo]
-        objectives = None
-        if self._batch_evaluate is not None:
-            matrix = self.problem.stack_genomes(genomes)
-            if matrix is not None:
-                objectives = self._batch_evaluate(matrix)
-        if objectives is None:
-            objectives = self.evaluator(genomes)
+        matrix = self.problem.stack_genomes(genomes)
+        objectives = self.evaluator(genomes if matrix is None else matrix)
         for ind, obj in zip(todo, objectives):
             ind.objective = float(obj)
         self.state.evaluations += len(todo)
 
     def _score_matrix(self, matrix: np.ndarray) -> np.ndarray:
-        """Objectives of a chromosome matrix, not yet counted.
-
-        Uses the batch seam when the problem/evaluator provide one;
-        otherwise un-stacks rows and scores through the per-genome
-        evaluator (still correct, just not vectorised).
-        """
-        if self._batch_evaluate is not None:
-            objectives = self._batch_evaluate(matrix)
-        else:
-            genomes = [self.problem.unstack_row(row) for row in matrix]
-            objectives = self.evaluator(genomes)
-        return np.asarray(objectives, dtype=float)
+        """Objectives of a chromosome matrix, not yet counted."""
+        return np.asarray(self.evaluator(matrix), dtype=float)
 
     def _evaluate_matrix(self, matrix: np.ndarray) -> np.ndarray:
         """Objectives of a chromosome matrix (array-substrate evaluation)."""

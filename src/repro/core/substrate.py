@@ -278,19 +278,6 @@ class ArrayPopulationView(Population):
         return Individual.from_row(self._problem, self._state.matrix[i],
                                    self._state.objectives[i])
 
-    def stats(self):
-        from .population import PopulationStats
-        obj = self._state.objectives
-        if obj.size == 0 or np.isnan(obj).any():
-            raise ValueError("stats() requires a fully evaluated population")
-        return PopulationStats(
-            size=int(obj.size),
-            best=float(obj.min()),
-            worst=float(obj.max()),
-            mean=float(obj.mean()),
-            std=float(obj.std()),
-        )
-
     def _read_only(self, *_args, **_kwargs):
         raise TypeError(
             "array-substrate population views are read-only; mutate the "

@@ -41,9 +41,6 @@ class OperationBasedEncoding:
     def __init__(self, instance: JobShopInstance, mode: str = "semi_active"):
         if mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}")
-        if mode == "blocking" and not instance.blocking:
-            # allowed, but decoding semantics assume the blocking constraint
-            pass
         self.instance = instance
         self.mode = mode
         self._graph = DisjunctiveGraph(instance) if mode == "graph" else None

@@ -4,10 +4,10 @@ The master-slave GA "keeps a single population ... the slaves take care of
 fitness evaluation in parallel.  Data exchange occurs only when sending and
 receiving tasks between the master and slaves" (survey, Section III.B).
 
-Executors implement exactly that contract: ``evaluate(genomes) ->
-objectives``, plus a vectorised ``evaluate_batch(matrix) -> objectives``
-that takes a whole ``(pop_size, n_genes)`` chromosome matrix.  Three
-backends:
+Executors implement exactly that contract as one call,
+``evaluator(genomes) -> objectives``, where ``genomes`` is a whole
+``(pop_size, n_genes)`` chromosome matrix or, for genomes that do not
+stack, a genome list.  Three backends:
 
 * :class:`SerialEvaluator` -- no parallelism; the reference behaviour,
 * :class:`ProcessPoolEvaluator` -- real OS processes via
@@ -70,16 +70,9 @@ class SerialEvaluator:
 
     def __call__(self, genomes: Sequence[Any]) -> np.ndarray:
         t0 = time.perf_counter()
-        out = self.problem.evaluate_many(list(genomes))
-        self.stats.record(len(genomes), time.perf_counter() - t0)
-        return out
-
-    def evaluate_batch(self, matrix: np.ndarray) -> np.ndarray:
-        """Score a whole chromosome matrix with the vectorised decoder."""
-        t0 = time.perf_counter()
-        out = self.problem.evaluate_batch(matrix)
-        self.stats.record(len(matrix), time.perf_counter() - t0,
-                          batched=True)
+        out = self.problem.evaluate_many(genomes)
+        self.stats.record(len(genomes), time.perf_counter() - t0,
+                          batched=isinstance(genomes, np.ndarray))
         return out
 
     def close(self) -> None:  # symmetric API
@@ -96,16 +89,10 @@ def _init_worker(payload: bytes) -> None:
     _WORKER_PROBLEM = pickle.loads(payload)
 
 
-def _eval_chunk(genomes: list[Any]) -> list[float]:
-    """Worker task: score one chunk with the cached problem."""
+def _eval_chunk(genomes: Any) -> np.ndarray:
+    """Worker task: score one chunk (matrix rows or genomes)."""
     assert _WORKER_PROBLEM is not None, "worker not initialised"
-    return [float(v) for v in _WORKER_PROBLEM.evaluate_many(genomes)]
-
-
-def _eval_matrix(matrix: np.ndarray) -> np.ndarray:
-    """Worker task: score one chromosome sub-matrix, batch-decoded."""
-    assert _WORKER_PROBLEM is not None, "worker not initialised"
-    return np.asarray(_WORKER_PROBLEM.evaluate_batch(matrix), dtype=float)
+    return _WORKER_PROBLEM.evaluate_many(genomes)
 
 
 class ProcessPoolEvaluator:
@@ -138,7 +125,6 @@ class ProcessPoolEvaluator:
         self.chunks_per_worker = chunks_per_worker
         self.stats = EvalStats()
         payload = pickle.dumps(problem)
-        self._payload_size = len(payload)
         self._pool = ProcessPoolExecutor(
             max_workers=self.n_workers,
             initializer=_init_worker,
@@ -149,46 +135,34 @@ class ProcessPoolEvaluator:
         return min(n, self.n_workers * self.chunks_per_worker)
 
     def __call__(self, genomes: Sequence[Any]) -> np.ndarray:
-        genomes = list(genomes)
-        if not genomes:
-            return np.empty(0)
+        """Ship contiguous slices of the genomes to the slaves.
+
+        Genomes that stack go as row-slices of the chromosome matrix --
+        one compact ndarray pickle per chunk, batch-decoded by the slave
+        -- and others as sub-lists.  Results are concatenated in
+        submission order, so output order matches input order exactly.
+        """
         matrix = self.problem.stack_genomes(genomes)
         if matrix is not None:
-            return self.evaluate_batch(matrix)
-        t0 = time.perf_counter()
-        chunks = [list(c) for c in np.array_split(
-            np.arange(len(genomes)), self._n_chunks(len(genomes))) if len(c)]
-        futures = [self._pool.submit(_eval_chunk,
-                                     [genomes[i] for i in idx])
-                   for idx in chunks]
-        out = np.empty(len(genomes))
-        for idx, fut in zip(chunks, futures):
-            for i, val in zip(idx, fut.result()):
-                out[i] = val
-        payload = sum(np.asarray(g[0] if isinstance(g, tuple) else g).nbytes
-                      for g in genomes)
-        self.stats.record(len(genomes), time.perf_counter() - t0, payload)
-        return out
-
-    def evaluate_batch(self, matrix: np.ndarray) -> np.ndarray:
-        """Ship contiguous row-slices of the chromosome matrix to slaves.
-
-        Each slave receives one ndarray (a single compact pickle) and
-        batch-decodes it; results are concatenated in submission order, so
-        output order matches input order exactly.
-        """
-        matrix = np.asarray(matrix)
-        if len(matrix) == 0:
+            genomes = np.ascontiguousarray(matrix)
+            payload = genomes.nbytes
+        else:
+            genomes = list(genomes)
+            payload = sum(np.asarray(g[0] if isinstance(g, tuple) else g)
+                          .nbytes for g in genomes)
+        n = len(genomes)
+        if n == 0:
             return np.empty(0)
         t0 = time.perf_counter()
-        parts = [np.ascontiguousarray(p) for p in
-                 np.array_split(matrix, self._n_chunks(len(matrix)))
-                 if len(p)]
-        futures = [self._pool.submit(_eval_matrix, p) for p in parts]
+        futures = [self._pool.submit(_eval_chunk, genomes[c[0]:c[-1] + 1])
+                   for c in np.array_split(np.arange(n), self._n_chunks(n))]
         out = np.concatenate([fut.result() for fut in futures])
-        self.stats.record(len(matrix), time.perf_counter() - t0,
-                          matrix.nbytes, batched=True)
+        self.stats.record(n, time.perf_counter() - t0, payload,
+                          batched=matrix is not None)
         return out
+
+    #: alias of ``__call__``; ``perfbench/tracer.py`` wraps both names
+    evaluate_batch = __call__
 
     def close(self) -> None:
         self._pool.shutdown(wait=True)
@@ -217,29 +191,13 @@ class ChunkedEvaluator:
         self.stats = EvalStats()
 
     def __call__(self, genomes: Sequence[Any]) -> np.ndarray:
-        genomes = list(genomes)
+        """Forward fixed-size slices (matrix rows or genomes) to ``inner``."""
         t0 = time.perf_counter()
         parts = [self.inner(genomes[i:i + self.batch_size])
                  for i in range(0, len(genomes), self.batch_size)]
         out = np.concatenate(parts) if parts else np.empty(0)
-        self.stats.record(len(genomes), time.perf_counter() - t0)
-        return out
-
-    def evaluate_batch(self, matrix: np.ndarray) -> np.ndarray:
-        """Forward fixed-size row-slices of the matrix to the inner batch path."""
-        matrix = np.asarray(matrix)
-        t0 = time.perf_counter()
-        inner_batch = getattr(self.inner, "evaluate_batch", None)
-        parts = []
-        for i in range(0, len(matrix), self.batch_size):
-            block = matrix[i:i + self.batch_size]
-            if inner_batch is not None:
-                parts.append(inner_batch(block))
-            else:
-                parts.append(self.inner(list(block)))
-        out = np.concatenate(parts) if parts else np.empty(0)
-        self.stats.record(len(matrix), time.perf_counter() - t0,
-                          batched=True)
+        self.stats.record(len(genomes), time.perf_counter() - t0,
+                          batched=isinstance(genomes, np.ndarray))
         return out
 
     def close(self) -> None:

@@ -24,11 +24,11 @@ Backends:
 * ``process``  -- real multiprocessing pool (Mui et al. [17] regime),
 * ``batched``  -- process pool behind the batch dispatcher of [18].
 
-Every backend exposes ``evaluate_batch``, so the engine ships each
-generation's offspring as one ``(pop, n_genes)`` chromosome matrix (workers
-batch-decode their row-slice via :mod:`repro.scheduling.batch`) whenever
-the problem's genomes stack rectangularly; ragged/composite genomes fall
-back to per-genome lists transparently.
+Every backend is one call, ``evaluator(genomes) -> objectives``: the
+engine hands it each generation's offspring as one ``(pop, n_genes)``
+chromosome matrix whenever the problem's genomes stack (workers
+batch-decode their row-slice via :mod:`repro.scheduling.batch`), and as
+the genome list otherwise; the backend slices either form the same way.
 """
 
 from __future__ import annotations

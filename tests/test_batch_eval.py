@@ -220,7 +220,7 @@ def test_serial_evaluator_matches_batch_path():
     seqs = random_op_sequences(instance, 16, rng)
     ev = SerialEvaluator(problem)
     via_list = ev(list(seqs))
-    via_matrix = ev.evaluate_batch(seqs)
+    via_matrix = ev(seqs)
     scalar = np.array([problem.evaluate(s) for s in seqs])
     assert np.array_equal(via_list, scalar)
     assert np.array_equal(via_matrix, scalar)
@@ -233,7 +233,7 @@ def test_chunked_evaluator_batch_path():
     rng = make_rng(2)
     perms = np.stack([rng.permutation(8) for _ in range(11)])
     ev = ChunkedEvaluator(SerialEvaluator(problem), batch_size=4)
-    out = ev.evaluate_batch(perms)
+    out = ev(perms)
     scalar = np.array([problem.evaluate(p) for p in perms])
     assert np.array_equal(out, scalar)
 
@@ -267,7 +267,6 @@ def test_simple_ga_batch_path_bit_identical():
         problem, cfg, MaxGenerations(6), seed=99,
         evaluator=lambda genomes: np.array(
             [problem.evaluate(g) for g in genomes]))
-    assert not scalar_ga.uses_batch_path
     rb, rs = batch_ga.run(), scalar_ga.run()
     assert rb.best_objective == rs.best_objective
     assert rb.evaluations == rs.evaluations

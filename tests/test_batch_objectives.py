@@ -303,9 +303,8 @@ def test_simple_ga_batch_path_fjsp_weighted_tardiness():
     assert batch_ga.uses_batch_path
     scalar_ga = SimpleGA(
         problem, cfg, MaxGenerations(5), seed=77,
-        evaluator=lambda genomes: np.array(
-            [problem.evaluate(g) for g in genomes]))
-    assert not scalar_ga.uses_batch_path
+        evaluator=lambda matrix: np.array(
+            [problem.evaluate(problem.unstack_row(row)) for row in matrix]))
     rb, rs = batch_ga.run(), scalar_ga.run()
     assert rb.best_objective == rs.best_objective
     assert [r.best for r in rb.history.records] == \

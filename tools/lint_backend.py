@@ -47,7 +47,7 @@ BASELINES = {
     "src/repro/scheduling/flowshop.py": 23,
     # 31 -> 12: signatures annotate through the module's Array /
     # Generator aliases
-    "src/repro/core/substrate.py": 10,
+    "src/repro/core/substrate.py": 9,
     "src/repro/parallel/fine_grained.py": 3,
     # island 4 -> 3, hybrid 3 -> 1: one exchange loop serves ring
     # migration and broadcast, and the hybrids subclass IslandGA
