@@ -3,7 +3,10 @@
 Runs the *same* GA (same seed, bit-identical results) with a serial
 evaluator and with process pools of growing size, with an artificial
 per-evaluation CPU cost emulating an expensive fitness function -- the
-regime where the survey says master-slave parallelism pays off.
+regime where the survey says master-slave parallelism pays off.  The
+engine caps ``workers`` at the cores present and sizes its slaves from
+the evaluation and communication costs it measures, so the ``slaves``
+column shows how many it used.
 
 Every configuration is the same declarative spec with only the engine
 parameters swapped -- exactly the survey's point that the master-slave
@@ -30,8 +33,8 @@ def main() -> None:
         seed=7,
     )
 
-    print(f"{'backend':>10} {'workers':>7} {'wall s':>8} {'speedup':>8} "
-          f"{'best':>6}")
+    print(f"{'backend':>10} {'workers':>7} {'slaves':>6} {'wall s':>8} "
+          f"{'speedup':>8} {'best':>6}")
     base_time = None
     base_best = None
     for backend, workers in (("serial", 1), ("process", 2), ("process", 6),
@@ -45,7 +48,8 @@ def main() -> None:
             base_time, base_best = wall, report.best_objective
         assert report.best_objective == base_best, \
             "master-slave must not change the algorithm's behaviour"
-        print(f"{backend:>10} {workers:>7} {wall:>8.2f} "
+        slaves = report.extra["sizing"]["slaves"]
+        print(f"{backend:>10} {workers:>7} {slaves:>6} {wall:>8.2f} "
               f"{base_time / wall:>8.2f} {report.best_objective:>6g}")
 
     print("\nidentical best makespans across all backends confirm the "

@@ -100,7 +100,9 @@ def _run_simple(problem: Problem, config: GAConfig,
 @register_engine(
     "master-slave", aliases=("master_slave",),
     description="Master-slave parallel evaluation, Table III "
-                "(bit-identical to the serial GA)",
+                "(bit-identical to the serial GA); at most `workers` "
+                "slaves, sized from measured evaluation and "
+                "communication costs",
     params={"workers": 4, "backend": "process", "batch_size": 16,
             "chunks_per_worker": 1},
     array_substrate=True, observers=True)

@@ -343,7 +343,9 @@ def main(argv: list[str] | None = None) -> int:
     p_solve.add_argument("--generations", type=int, default=None,
                          help="generation budget (default: 100)")
     p_solve.add_argument("--workers", type=int, default=None,
-                         help="pool size (master-slave) or island count "
+                         help="most slaves (master-slave: capped at the "
+                              "cores present, then sized from measured "
+                              "costs) or island count "
                               "(island/hybrid/two-level)")
     p_solve.add_argument("--seed", type=int, default=None,
                          help="root RNG seed (default: 42)")

@@ -114,9 +114,13 @@ def e03_mui_master_slave_real(scale: str = "small") -> ExperimentResult:
     versus the sequential version.
 
     This experiment is REAL: it runs the identical GA (same seed) with a
-    serial evaluator and with a 6-worker process pool on this machine,
-    with an artificial per-evaluation CPU cost representing [17]'s
-    "prior-rule active schedule" evaluation.
+    serial evaluator and with a process pool of at most 6 workers on this
+    machine, with an artificial per-evaluation CPU cost representing
+    [17]'s "prior-rule active schedule" evaluation.  The pool is capped
+    at the cores present and sized from the run's measured evaluation and
+    communication costs, so each row shows the slaves used, the model's
+    predicted speedup and the measured one (``evaluations * Tf`` over the
+    evaluation wall time).
     """
     t0 = time.perf_counter()
     sc = SCALES[scale]
@@ -134,16 +138,20 @@ def e03_mui_master_slave_real(scale: str = "small") -> ExperimentResult:
         result = ga.run()
         wall = time.perf_counter() - start
         runs[backend] = (result, wall)
+        sizing = result.extra["sizing"]
         rows.append({"backend": backend, "workers": workers,
+                     "slaves": sizing["slaves"],
                      "wall_s": round(wall, 3),
+                     "predicted": _round(sizing["predicted_speedup"]),
+                     "measured": _round(sizing["measured_speedup"]),
                      "best": result.best_objective,
                      "evaluations": result.evaluations})
     same_result = (runs["serial"][0].best_objective
                    == runs["process"][0].best_objective)
     speedup = runs["serial"][1] / runs["process"][1]
-    rows.append({"backend": "speedup", "workers": 6,
-                 "wall_s": round(speedup, 2), "best": "-",
-                 "evaluations": "-"})
+    rows.append({"backend": "speedup", "workers": 6, "slaves": "-",
+                 "wall_s": round(speedup, 2), "predicted": "-",
+                 "measured": "-", "best": "-", "evaluations": "-"})
     return ExperimentResult(
         experiment="E03", source="Mui et al. [17]",
         claim="master-slave with 6 processors saves 3-4x execution time "
@@ -152,6 +160,10 @@ def e03_mui_master_slave_real(scale: str = "small") -> ExperimentResult:
         observations={"speedup": speedup, "identical_results": same_result},
         passed=same_result and speedup > 1.5,
         elapsed=time.perf_counter() - t0)
+
+
+def _round(value: float | None) -> float | str:
+    return "-" if value is None else round(value, 2)
 
 
 def e04_akhshabi_batched(scale: str = "small") -> ExperimentResult:

@@ -20,6 +20,12 @@ stack, a genome list.  Three backends:
 * :class:`ChunkedEvaluator` -- wraps another evaluator with explicit batch
   sizes, modelling the batched dispatch of Akhshabi et al. [18].
 
+A pool's workers start on its first task; :meth:`ProcessPoolEvaluator.warm_up`
+submits a no-op so they fork and unpickle the problem while the master is
+busy elsewhere, and :attr:`ProcessPoolEvaluator.slaves` sets how many of
+them share each call.  :class:`~repro.parallel.master_slave.MasterSlaveGA`
+uses both to size its slaves from measured costs.
+
 All evaluators preserve input order, so swapping backends never changes GA
 behaviour -- only wall-clock time.  Each evaluator records lightweight
 timing/transfer statistics used by the experiments.
@@ -30,7 +36,7 @@ from __future__ import annotations
 import os
 import pickle
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass
 from typing import Any, Sequence
 
 import numpy as np
@@ -59,6 +65,10 @@ class EvalStats:
         self.bytes_shipped += payload_bytes
         if batched:
             self.batch_calls += 1
+
+    def __add__(self, other: "EvalStats") -> "EvalStats":
+        return EvalStats(*(a + b for a, b in zip(astuple(self),
+                                                 astuple(other))))
 
 
 class SerialEvaluator:
@@ -89,6 +99,10 @@ def _init_worker(payload: bytes) -> None:
     _WORKER_PROBLEM = pickle.loads(payload)
 
 
+def _warm_up() -> None:
+    """Worker task that does nothing: its submission starts the workers."""
+
+
 def _eval_chunk(genomes: Any) -> np.ndarray:
     """Worker task: score one chunk (matrix rows or genomes)."""
     assert _WORKER_PROBLEM is not None, "worker not initialised"
@@ -103,12 +117,12 @@ class ProcessPoolEvaluator:
     problem:
         shipped to every worker once at pool start-up.
     n_workers:
-        slave count (defaults to CPU count).
+        worker processes (defaults to CPU count).
     chunks_per_worker:
-        each evaluation call is split into ``n_workers * chunks_per_worker``
-        chunks; >1 smooths load imbalance at slightly higher messaging cost
-        -- exactly the trade-off the survey describes for [18]'s batched
-        dispatcher.
+        each evaluation call is split into ``slaves * chunks_per_worker``
+        chunks, where :attr:`slaves` starts at ``n_workers``; >1 smooths
+        load imbalance at slightly higher messaging cost -- exactly the
+        trade-off the survey describes for [18]'s batched dispatcher.
     """
 
     def __init__(self, problem: Problem, n_workers: int | None = None,
@@ -120,6 +134,8 @@ class ProcessPoolEvaluator:
             raise ValueError("need at least one worker")
         self.problem = problem
         self.n_workers = n_workers
+        #: workers that share one call; a sizing policy may lower it
+        self.slaves = n_workers
         if chunks_per_worker < 1:
             raise ValueError("chunks_per_worker must be >= 1")
         self.chunks_per_worker = chunks_per_worker
@@ -132,7 +148,11 @@ class ProcessPoolEvaluator:
         )
 
     def _n_chunks(self, n: int) -> int:
-        return min(n, self.n_workers * self.chunks_per_worker)
+        return min(n, self.slaves * self.chunks_per_worker)
+
+    def warm_up(self):
+        """Start the workers now; returns the no-op task's future."""
+        return self._pool.submit(_warm_up)
 
     def __call__(self, genomes: Sequence[Any]) -> np.ndarray:
         """Ship contiguous slices of the genomes to the slaves.

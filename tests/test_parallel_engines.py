@@ -1,6 +1,9 @@
 """Tests for the master-slave, island, cellular and hybrid engines."""
 
 import hashlib
+import multiprocessing
+import os
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +26,30 @@ def problem():
 
 
 CFG = GAConfig(population_size=16, n_elites=2)
+
+
+class SlowProblem(Problem):
+    """Evaluation that waits ``delay`` seconds per genome without a CPU.
+
+    The expensive-fitness regime: slaves that wait in parallel finish
+    together even on a shared host whose virtual cores are busy
+    elsewhere, where busy ``eval_cost`` loops could merely take turns.
+    """
+
+    delay = 2e-3
+
+    def evaluate_many(self, genomes):
+        time.sleep(self.delay * len(genomes))
+        return super().evaluate_many(genomes)
+
+
+def _new_children(before):
+    return [p for p in multiprocessing.active_children() if p not in before]
+
+
+def _records(result):
+    return [(r.generation, r.best, r.mean, r.std, r.worst, r.evaluations)
+            for r in result.history.records]
 
 
 class TestMasterSlave:
@@ -62,6 +89,77 @@ class TestMasterSlave:
     def test_invalid_backend(self, problem):
         with pytest.raises(ValueError):
             MasterSlaveGA(problem, backend="gpu")
+
+
+class TestMasterSlaveSizing:
+    """Slaves are sized from the run's own Tf and Tc (Cantu-Paz's P*)."""
+
+    @pytest.mark.parametrize("backend", ["process", "batched"])
+    def test_cheap_evaluation_stays_on_the_master(self, backend):
+        problem = Problem(OperationBasedEncoding(get_instance("ft10-shaped")))
+        cfg = GAConfig(population_size=40)
+        before = multiprocessing.active_children()
+        serial = MasterSlaveGA(problem, cfg, MaxGenerations(10), seed=3,
+                               backend="serial").run()
+        pooled = MasterSlaveGA(problem, cfg, MaxGenerations(10), seed=3,
+                               backend=backend, n_workers=2).run()
+        assert _new_children(before) == []
+        sizing = pooled.extra["sizing"]
+        assert sizing["slaves"] == 1
+        if os.cpu_count() > 1:
+            # the model predicts a loss at two slaves
+            assert sizing["t_comm"] > 0
+            assert sizing["predicted_speedup"] < 1
+        assert sizing["t_eval"] > 0 and sizing["measured_speedup"] > 0
+        assert pooled.best_objective == serial.best_objective
+        assert np.array_equal(pooled.best.genome, serial.best.genome)
+        assert _records(pooled) == _records(serial)
+        assert pooled.extra["eval_calls"] == 11
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores")
+    @pytest.mark.parametrize("backend", ["process", "batched"])
+    def test_expensive_evaluation_keeps_its_slaves(self, backend):
+        problem = SlowProblem(
+            OperationBasedEncoding(get_instance("ft10-shaped")))
+        cfg = GAConfig(population_size=16)
+        before = multiprocessing.active_children()
+        serial = MasterSlaveGA(problem, cfg, MaxGenerations(4), seed=3,
+                               backend="serial").run()
+        pooled = MasterSlaveGA(problem, cfg, MaxGenerations(4), seed=3,
+                               backend=backend, n_workers=2,
+                               batch_size=8).run()
+        assert _new_children(before) == []
+        sizing = pooled.extra["sizing"]
+        assert sizing["slaves"] == min(2, os.cpu_count())
+        assert sizing["predicted_speedup"] > 1
+        assert pooled.best_objective == serial.best_objective
+        assert _records(pooled) == _records(serial)
+        assert pooled.extra["eval_calls"] == 5
+
+    def test_workers_are_capped_at_the_cores_present(self, problem):
+        ms = MasterSlaveGA(problem, CFG, MaxGenerations(2), seed=1,
+                           n_workers=64)
+        assert ms.cap == min(64, os.cpu_count() or 1)
+        if ms.cap > 1:
+            assert ms.pool.n_workers == ms.cap
+        else:
+            assert ms.pool is None
+        ms.run()
+
+    def test_serial_backend_reports_one_slave(self, problem):
+        sizing = MasterSlaveGA(problem, CFG, MaxGenerations(2), seed=1,
+                               backend="serial").run().extra["sizing"]
+        assert sizing["slaves"] == 1 and sizing["t_comm"] is None
+        assert sizing["predicted_speedup"] == 1.0
+
+    def test_refused_configuration_starts_no_process(self, problem):
+        before = multiprocessing.active_children()
+        cfg = GAConfig(population_size=16, substrate="array",
+                       crossover=LinearOrderCrossover())
+        with pytest.raises(ValueError):
+            MasterSlaveGA(problem, cfg, MaxGenerations(2), seed=1,
+                          backend="process", n_workers=2)
+        assert _new_children(before) == []
 
 
 class TestIslandGA:
